@@ -32,7 +32,6 @@ void IncrementalSlotLp::invalidate() {
   valid_ = false;
   entries_.clear();
   capacity_rows_.clear();
-  candidate_cache_.clear();
   topo_ = nullptr;
   dead_columns_ = 0;
 }
@@ -68,9 +67,9 @@ bool IncrementalSlotLp::override_preserves_slot_counts(
   return true;
 }
 
-bool IncrementalSlotLp::reconcile_entry(const mec::ARRequest& req,
-                                        const Entry& e, bool& mutated) {
-  const auto& cands = candidate_cache_.find(req.id)->second;
+bool IncrementalSlotLp::reconcile_entry(
+    const mec::ARRequest& req, const std::vector<CandidateStation>& cands,
+    const Entry& e, bool& mutated) {
   auto station_capacity = [&](int bs) {
     return options_.capacity_override_mhz.empty()
                ? topo_->station(bs).capacity_mhz
@@ -81,8 +80,8 @@ bool IncrementalSlotLp::reconcile_entry(const mec::ARRequest& req,
   // both in step. A lattice position with er > 0 but no column means the
   // old override had pruned it — only then is in-place repair impossible.
   std::size_t cursor = 0;
-  for (int c = 0; c < e.candidate_count; ++c) {
-    const int bs = cands[static_cast<std::size_t>(c) + 1].station;
+  for (const CandidateStation& cand : cands) {
+    const int bs = cand.station;
     const int L = inst_.slots_per_station[static_cast<std::size_t>(bs)];
     for (int l = 0; l < L; ++l) {
       const double rate_cap =
@@ -115,58 +114,6 @@ bool IncrementalSlotLp::reconcile_entry(const mec::ARRequest& req,
   return cursor == e.columns.size();
 }
 
-const std::vector<CandidateStation>& IncrementalSlotLp::candidates_of(
-    const mec::ARRequest& req) {
-  auto [it, inserted] = candidate_cache_.try_emplace(req.id);
-  // Mobility can re-home a request between slots without changing its id;
-  // the cached latency list is keyed on the home station via recompute.
-  if (!inserted && !it->second.empty() &&
-      it->second.front().station == -1 - req.home_station) {
-    return it->second;
-  }
-  std::vector<CandidateStation>& list = it->second;
-  list.clear();
-  // Slot 0 is a sentinel recording the home station the list was computed
-  // for (station = -1 - home, never a valid candidate index).
-  list.push_back(CandidateStation{-1 - req.home_station, 0.0});
-  std::vector<CandidateStation> all;
-  all.reserve(static_cast<std::size_t>(num_stations_));
-  for (int bs = 0; bs < num_stations_; ++bs) {
-    all.push_back(
-        CandidateStation{bs, mec::placement_latency_ms(*topo_, req, bs)});
-  }
-  std::sort(all.begin(), all.end(),
-            [](const CandidateStation& a, const CandidateStation& b) {
-              if (a.latency_ms != b.latency_ms) {
-                return a.latency_ms < b.latency_ms;
-              }
-              return a.station < b.station;
-            });
-  list.insert(list.end(), all.begin(), all.end());
-  return list;
-}
-
-int IncrementalSlotLp::candidate_count(const mec::ARRequest& req,
-                                       double waiting_ms) const {
-  // const_cast-free variant: candidates_of is non-const because it fills
-  // the cache; count is only called after the cache was primed.
-  auto it = candidate_cache_.find(req.id);
-  const auto& list = it->second;
-  // The feasibility filter `waiting + lat <= budget` admits a prefix of
-  // the latency-sorted list (addition is monotone in lat), so the
-  // canonical filtered-then-sorted set is exactly this prefix.
-  const auto begin = list.begin() + 1;  // skip the home-station sentinel
-  const auto split = std::partition_point(
-      begin, list.end(), [&](const CandidateStation& c) {
-        return waiting_ms + c.latency_ms <= req.latency_budget_ms;
-      });
-  int count = static_cast<int>(split - begin);
-  if (params_.max_candidate_stations > 0) {
-    count = std::min(count, params_.max_candidate_stations);
-  }
-  return count;
-}
-
 IncrementalSlotLp::Entry IncrementalSlotLp::make_signature(
     const mec::ARRequest& req, int count) {
   Entry e;
@@ -192,11 +139,9 @@ bool IncrementalSlotLp::signature_matches(const Entry& a, const Entry& b) {
          a.demand_expected_reward == b.demand_expected_reward;
 }
 
-IncrementalSlotLp::Entry IncrementalSlotLp::add_entry(const mec::ARRequest& req,
-                                                      double waiting_ms,
-                                                      int count) {
-  Entry e = make_signature(req, count);
-  const auto& cands = candidates_of(req);
+IncrementalSlotLp::Entry IncrementalSlotLp::add_entry(
+    const mec::ARRequest& req, const std::vector<CandidateStation>& cands) {
+  Entry e = make_signature(req, static_cast<int>(cands.size()));
   auto station_capacity = [&](int bs) {
     return options_.capacity_override_mhz.empty()
                ? topo_->station(bs).capacity_mhz
@@ -208,10 +153,8 @@ IncrementalSlotLp::Entry IncrementalSlotLp::add_entry(const mec::ARRequest& req,
   std::map<long long, std::vector<lp::Term>> pending_rows;
   std::vector<lp::ColumnEntry> row_entries;
   std::vector<std::pair<long long, double>> missing;  // (row key, coeff)
-  (void)waiting_ms;  // the filter is already folded into `count`
 
-  for (int c = 0; c < count; ++c) {
-    const CandidateStation& cand = cands[static_cast<std::size_t>(c) + 1];
+  for (const CandidateStation& cand : cands) {
     const int bs = cand.station;
     const int L = inst_.slots_per_station[static_cast<std::size_t>(bs)];
     for (int l = 0; l < L; ++l) {
@@ -273,7 +216,6 @@ void IncrementalSlotLp::full_build(const mec::Topology& topo,
                                    const SlotLpOptions& options) {
   ++stats_.full_builds;
   obs::metrics().lp_incremental_rebuilds.add();
-  if (topo_ != &topo) candidate_cache_.clear();
   topo_ = &topo;
   num_stations_ = topo.num_stations();
   params_ = params;
@@ -301,9 +243,9 @@ void IncrementalSlotLp::full_build(const mec::Topology& topo,
   entries_.clear();
   entries_.reserve(requests.size());
   for (std::size_t b = 0; b < requests.size(); ++b) {
-    (void)candidates_of(requests[b]);  // prime the cache
-    Entry e = make_signature(requests[b],
-                             candidate_count(requests[b], waiting_of(b)));
+    const auto cands =
+        candidate_stations(topo, requests[b], params, waiting_of(b));
+    Entry e = make_signature(requests[b], static_cast<int>(cands.size()));
     e.columns = inst_.request_columns[b];
     entries_.push_back(std::move(e));
   }
@@ -323,9 +265,7 @@ const SlotLpInstance& IncrementalSlotLp::build(
 
   // Residual-capacity churn: objectives move but the lattice shape only
   // changes when a station's slot count does.
-  const bool override_moved =
-      options_.capacity_override_mhz != options.capacity_override_mhz;
-  if (override_moved) {
+  if (options_.capacity_override_mhz != options.capacity_override_mhz) {
     if (!override_preserves_slot_counts(options)) {
       full_build(topo, requests, params, options);
       return inst_;
@@ -352,20 +292,21 @@ const SlotLpInstance& IncrementalSlotLp::build(
   bool mutated = false;
   for (std::size_t b = 0; b < requests.size(); ++b) {
     const mec::ARRequest& req = requests[b];
-    (void)candidates_of(req);
-    const Entry sig = make_signature(req, candidate_count(req, waiting_of(b)));
+    const std::vector<CandidateStation> cands =
+        candidate_stations(topo, req, params, waiting_of(b));
+    const Entry sig = make_signature(req, static_cast<int>(cands.size()));
     const auto it = prev_by_id.find(req.id);
     if (it != prev_by_id.end() &&
         signature_matches(entries_[it->second], sig) &&
-        (!override_moved ||
-         reconcile_entry(req, entries_[it->second], mutated))) {
+        reconcile_entry(req, cands, entries_[it->second], mutated)) {
       prev_used[it->second] = 1;
       next.push_back(std::move(entries_[it->second]));
     } else {
-      // Joined, or the candidate prefix / demand identity moved: fresh
+      // Joined, or its candidate stations / demand identity moved (a
+      // handover changes the stations, not always their count): fresh
       // columns (a changed predecessor is struck below as unused).
       mutated = true;
-      next.push_back(add_entry(req, waiting_of(b), sig.candidate_count));
+      next.push_back(add_entry(req, cands));
     }
   }
   for (std::size_t i = 0; i < entries_.size(); ++i) {
@@ -494,9 +435,8 @@ void IncrementalSlotLp::load(util::SnapshotReader& r,
   stats_.columns_added = r.i64();
   stats_.columns_removed = r.i64();
 
-  // The capacity-row map and candidate cache are derived state: rows come
-  // back from the canonical "slots_<bs>_<l>" naming, candidates reprime
-  // lazily on the next build().
+  // The capacity-row map is derived state: rows come back from the
+  // canonical "slots_<bs>_<l>" naming.
   topo_ = &topo;
   for (int row = 0; row < inst_.model.num_constraints(); ++row) {
     const std::string& name = inst_.model.row(row).name;

@@ -17,8 +17,8 @@
 // column objectives/coefficients depend only on (station, l, residual
 // capacity, share cap) — never on waiting time (`SlotVar::latency_ms` has
 // no waiting term) — and the per-request candidate set is a prefix of the
-// stations sorted by (latency, id), so a request's columns are a pure
-// function of its candidate COUNT. Anything that breaks those preconditions
+// stations sorted by (latency, id), so for a fixed home station a
+// request's columns are a pure function of its candidate COUNT. Anything that breaks those preconditions
 // (the round-robin share changed, the topology pointer changed, params
 // changed) forces a full rebuild, as does compaction once struck columns
 // outnumber live ones.
@@ -43,8 +43,9 @@
 // in place (a chaos overlay advancing its fault epoch) is invisible here,
 // so such callers must invalidate() — or bypass the incremental path, as
 // DynamicRR does whenever the view carries an overlay topology. A mobility
-// re-home of a request IS detected (the candidate cache records the home
-// station it was computed for).
+// re-home is detected: every reused entry is re-walked against its fresh
+// `candidate_stations` list, so columns at the old home's stations are
+// struck and re-added.
 #pragma once
 
 #include <unordered_map>
@@ -85,9 +86,8 @@ class IncrementalSlotLp {
   /// Checkpoint support: serializes the cached model, entries and build
   /// context so a resumed run re-enters build() with the same reuse/delta
   /// decisions (and the same column order, which the warm basis depends
-  /// on). The candidate cache is dropped — it reprimes lazily. load()
-  /// re-points the topology at `topo`, which must be the same topology
-  /// object the resumed simulation passes to build().
+  /// on). load() re-points the topology at `topo`, which must be the same
+  /// topology object the resumed simulation passes to build().
   void save(util::SnapshotWriter& w) const;
   void load(util::SnapshotReader& r, const mec::Topology& topo);
 
@@ -112,30 +112,27 @@ class IncrementalSlotLp {
   /// True when the new capacity override leaves every station's slot
   /// count unchanged (the gate for in-place objective reconciliation).
   bool override_preserves_slot_counts(const SlotLpOptions& options) const;
-  /// Rewrites the objectives (and freeze bounds) of a signature-matched
-  /// entry under the NEW capacity override (already stored in options_).
-  /// Returns false when the entry needs a column the old override never
-  /// materialized — the caller then strikes and re-adds the entry.
-  bool reconcile_entry(const mec::ARRequest& req, const Entry& e,
-                       bool& mutated);
+  /// Walks a signature-matched entry against its fresh candidate list,
+  /// rewriting objectives (and freeze bounds) under the current capacity
+  /// override (already stored in options_). Returns false when the entry
+  /// lacks a column the list needs or holds one it does not (a handover,
+  /// or a column the old override never materialized) — the caller then
+  /// strikes and re-adds the entry.
+  bool reconcile_entry(const mec::ARRequest& req,
+                       const std::vector<CandidateStation>& cands,
+                       const Entry& e, bool& mutated);
   void full_build(const mec::Topology& topo,
                   const std::vector<mec::ARRequest>& requests,
                   const AlgorithmParams& params, const SlotLpOptions& options);
-  /// Candidate prefix length of `req` at `waiting_ms` (the count the
-  /// canonical builder would produce).
-  int candidate_count(const mec::ARRequest& req, double waiting_ms) const;
   /// Appends the columns (+ assignment row + missing capacity rows) of one
-  /// joining entry; returns its bookkeeping record.
-  Entry add_entry(const mec::ARRequest& req, double waiting_ms, int count);
-  const std::vector<CandidateStation>& candidates_of(const mec::ARRequest& req);
+  /// joining entry over `cands`; returns its bookkeeping record.
+  Entry add_entry(const mec::ARRequest& req,
+                  const std::vector<CandidateStation>& cands);
   static Entry make_signature(const mec::ARRequest& req, int count);
   static bool signature_matches(const Entry& a, const Entry& b);
 
   SlotLpInstance inst_;
   std::vector<Entry> entries_;  // parallels the current batch
-  /// Full (unfiltered) candidate lists per request id, sorted by
-  /// (latency, station) — the per-slot filter is a prefix of this.
-  std::unordered_map<int, std::vector<CandidateStation>> candidate_cache_;
   /// Capacity row "slots_<bs>_<l>" indices, key = bs * (L_max + 1) + l.
   std::unordered_map<long long, int> capacity_rows_;
   /// Cached build context guarding reuse.

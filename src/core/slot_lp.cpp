@@ -2,35 +2,72 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "obs/catalog.h"
 
 namespace mecar::core {
 
+namespace {
+
+/// The candidate order: nearest latency first, lower station id on ties.
+/// A strict total order, so any selection method yields the same list.
+bool nearer(const CandidateStation& a, const CandidateStation& b) {
+  if (a.latency_ms != b.latency_ms) return a.latency_ms < b.latency_ms;
+  return a.station < b.station;
+}
+
+/// Column ids bucketed by station, each bucket in ascending column order,
+/// so a per-station capacity row reads only its own station's columns.
+std::vector<std::vector<int>> columns_by_station(
+    const std::vector<SlotVar>& vars, int num_stations) {
+  std::vector<std::vector<int>> buckets(static_cast<std::size_t>(num_stations));
+  for (std::size_t col = 0; col < vars.size(); ++col) {
+    buckets[static_cast<std::size_t>(vars[col].station)].push_back(
+        static_cast<int>(col));
+  }
+  return buckets;
+}
+
+}  // namespace
+
 std::vector<CandidateStation> candidate_stations(const mec::Topology& topo,
                                                  const mec::ARRequest& req,
                                                  const AlgorithmParams& params,
                                                  double waiting_ms) {
-  std::vector<CandidateStation> feasible;
-  for (int bs = 0; bs < topo.num_stations(); ++bs) {
-    const double lat = mec::placement_latency_ms(topo, req, bs);
-    if (waiting_ms + lat <= req.latency_budget_ms) {
-      feasible.push_back(CandidateStation{bs, lat});
+  // One pass over the stations. With a positive limit k, `kept` is a
+  // max-heap of at most k entries under `nearer`, and `worst` holds its
+  // front's latency once it is full: a station farther than that is
+  // rejected by one comparison.
+  const int k = params.max_candidate_stations;
+  std::vector<CandidateStation> kept;
+  if (k > 0) {
+    kept.reserve(static_cast<std::size_t>(std::min(k, topo.num_stations())));
+  }
+  double worst = std::numeric_limits<double>::infinity();
+  mec::for_each_placement_latency(topo, req, [&](int bs, double lat) {
+    if (lat > worst || !(waiting_ms + lat <= req.latency_budget_ms)) return;
+    const CandidateStation cand{bs, lat};
+    if (k <= 0) {
+      kept.push_back(cand);
+      return;
     }
+    if (static_cast<int>(kept.size()) == k) {
+      if (!nearer(cand, kept.front())) return;  // ties the k-th, higher id
+      std::pop_heap(kept.begin(), kept.end(), nearer);
+      kept.pop_back();
+    }
+    kept.push_back(cand);
+    std::push_heap(kept.begin(), kept.end(), nearer);
+    if (static_cast<int>(kept.size()) == k) worst = kept.front().latency_ms;
+  });
+  if (k <= 0) {
+    std::sort(kept.begin(), kept.end(), nearer);
+  } else {
+    std::sort_heap(kept.begin(), kept.end(), nearer);
   }
-  std::sort(feasible.begin(), feasible.end(),
-            [](const CandidateStation& a, const CandidateStation& b) {
-              if (a.latency_ms != b.latency_ms) {
-                return a.latency_ms < b.latency_ms;
-              }
-              return a.station < b.station;
-            });
-  if (params.max_candidate_stations > 0 &&
-      static_cast<int>(feasible.size()) > params.max_candidate_stations) {
-    feasible.resize(static_cast<std::size_t>(params.max_candidate_stations));
-  }
-  return feasible;
+  return kept;
 }
 
 SlotLpInstance build_slot_lp(const mec::Topology& topo,
@@ -113,14 +150,16 @@ SlotLpInstance build_slot_lp(const mec::Topology& topo,
   }
 
   // (10)/(23): slot-prefix capacity rows per (station, l), l = 1..L.
+  const std::vector<std::vector<int>> station_columns =
+      columns_by_station(inst.vars, num_stations);
   for (int bs = 0; bs < num_stations; ++bs) {
     const int L = inst.slots_per_station[static_cast<std::size_t>(bs)];
     for (int l = 1; l <= L; ++l) {
       const double rate_cap = l * params.slot_capacity_mhz / params.c_unit;
       std::vector<lp::Term> terms;
-      for (std::size_t col = 0; col < inst.vars.size(); ++col) {
-        const SlotVar& var = inst.vars[col];
-        if (var.station != bs || var.slot >= l) continue;
+      for (int col : station_columns[static_cast<std::size_t>(bs)]) {
+        const SlotVar& var = inst.vars[static_cast<std::size_t>(col)];
+        if (var.slot >= l) continue;
         double cap = rate_cap;
         if (options.share_cap_mhz) {
           cap = std::min(cap, *options.share_cap_mhz / params.c_unit);
@@ -129,7 +168,7 @@ SlotLpInstance build_slot_lp(const mec::Topology& topo,
             requests[static_cast<std::size_t>(var.request_index)]
                 .demand.expected_truncated_rate(cap);
         if (truncated > 0.0) {
-          terms.push_back(lp::Term{static_cast<int>(col), truncated});
+          terms.push_back(lp::Term{col, truncated});
         }
       }
       if (terms.empty()) continue;
@@ -180,16 +219,17 @@ SlotLpInstance build_ilp_rm(const mec::Topology& topo,
   }
 
   // (4): expected-demand capacity per station.
+  const std::vector<std::vector<int>> station_columns =
+      columns_by_station(inst.vars, num_stations);
   for (int bs = 0; bs < num_stations; ++bs) {
     std::vector<lp::Term> terms;
-    for (std::size_t col = 0; col < inst.vars.size(); ++col) {
-      const SlotVar& var = inst.vars[col];
-      if (var.station != bs) continue;
+    for (int col : station_columns[static_cast<std::size_t>(bs)]) {
+      const SlotVar& var = inst.vars[static_cast<std::size_t>(col)];
       const double demand =
           requests[static_cast<std::size_t>(var.request_index)]
               .demand.expected_rate() *
           params.c_unit;
-      terms.push_back(lp::Term{static_cast<int>(col), demand});
+      terms.push_back(lp::Term{col, demand});
     }
     if (terms.empty()) continue;
     inst.model.add_constraint("cap_" + std::to_string(bs), lp::Sense::kLe,

@@ -83,9 +83,12 @@ struct CandidateStation {
   double latency_ms = 0.0;
 };
 
-/// Candidate stations for a request: all stations whose placement latency
-/// (plus `waiting_ms`) meets the budget, nearest-latency first, truncated to
-/// `params.max_candidate_stations` when positive.
+/// Candidate stations for a request: among the stations with
+/// `waiting_ms + latency <= req.latency_budget_ms`, the first
+/// `params.max_candidate_stations` (all of them when that is <= 0) in
+/// (latency, station) order. The order is strict and total, so the list is
+/// unique; a positive limit is met by a bounded one-pass selection, with no
+/// sort over every station.
 std::vector<CandidateStation> candidate_stations(const mec::Topology& topo,
                                                  const mec::ARRequest& req,
                                                  const AlgorithmParams& params,

@@ -1,6 +1,8 @@
 #include "mec/request.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace mecar::mec {
@@ -70,6 +72,22 @@ double placement_latency_ms(const Topology& topo, const ARRequest& req,
   const double proc =
       req.total_proc_weight() * topo.station(bs).proc_ms_per_unit;
   return 2.0 * trans + proc;
+}
+
+double min_placement_latency_ms(const Topology& topo, const ARRequest& req,
+                                std::span<const char> up) {
+  if (!up.empty() &&
+      up.size() != static_cast<std::size_t>(topo.num_stations())) {
+    throw std::invalid_argument(
+        "min_placement_latency_ms: up-mask size mismatch");
+  }
+  double best = std::numeric_limits<double>::infinity();
+  for_each_placement_latency(topo, req, [&](int bs, double lat) {
+    if (up.empty() || up[static_cast<std::size_t>(bs)] != 0) {
+      best = std::min(best, lat);
+    }
+  });
+  return best;
 }
 
 double split_placement_latency_ms(const Topology& topo, const ARRequest& req,

@@ -2,6 +2,7 @@
 // (data rate, reward) distribution of section III-B/C.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,28 @@ struct ARRequest {
 /// waiting term). +infinity when the backhaul is disconnected.
 double placement_latency_ms(const Topology& topo, const ARRequest& req,
                             int bs);
+
+/// Calls visit(bs, latency) for every station in id order, with the
+/// per-request terms of placement_latency_ms hoisted out of the scan: the
+/// home station's delay row and the total processing weight are read once.
+/// The expression is placement_latency_ms's, so it rounds to the same bits.
+template <class Visit>
+void for_each_placement_latency(const Topology& topo, const ARRequest& req,
+                                Visit&& visit) {
+  const std::span<const double> delays = topo.delay_row(req.home_station);
+  const double weight = req.total_proc_weight();
+  const std::vector<BaseStation>& stations = topo.stations();
+  for (std::size_t bs = 0; bs < stations.size(); ++bs) {
+    visit(static_cast<int>(bs),
+          2.0 * delays[bs] + weight * stations[bs].proc_ms_per_unit);
+  }
+}
+
+/// Lowest placement_latency_ms of `req` over all stations, or over the
+/// stations with `up[bs] != 0` when `up` is non-empty; +infinity when none
+/// is reachable.
+double min_placement_latency_ms(const Topology& topo, const ARRequest& req,
+                                std::span<const char> up = {});
 
 /// Latency of `req` when its tasks are split across stations: each task k
 /// at stations[k]; consecutive tasks at different stations pay the 2x

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "util/rng.h"
@@ -61,6 +62,11 @@ class Topology {
   /// Shortest transmission delay between two stations (0 when equal);
   /// +infinity when disconnected.
   double transmission_delay_ms(int from, int to) const;
+
+  /// All shortest transmission delays out of `from`: entry `to` equals
+  /// transmission_delay_ms(from, to). Per-station scans read this one row
+  /// instead of bounds-checking every pair.
+  std::span<const double> delay_row(int from) const;
 
   /// True when every station can reach every other.
   bool connected() const noexcept;

@@ -344,31 +344,31 @@ void DynamicRrPolicy::admit_new(const mec::Topology& topo,
       // Deterministic rounding: request -> station with the largest
       // fractional mass sum_l y_jil; among stations within 50% of the best
       // mass (the LP is often indifferent, ER_jil varies little across
-      // stations) prefer the lowest placement latency. Latencies come from
-      // the column metadata the builder already computed.
-      std::vector<double>& mass = scratch_mass_;
-      mass.assign(static_cast<std::size_t>(topo.num_stations()), 0.0);
-      std::vector<double>& lat_of = scratch_lat_of_;
-      lat_of.assign(static_cast<std::size_t>(topo.num_stations()), 0.0);
+      // stations) prefer the lowest placement latency, then the lowest id.
+      // A request's columns come as one run per candidate station.
+      std::vector<StationMass>& masses = scratch_station_mass_;
       for (std::size_t b = 0; b < ids.size(); ++b) {
-        std::fill(mass.begin(), mass.end(), 0.0);
+        masses.clear();
         for (int col : inst.request_columns[b]) {
           const core::SlotVar& var = inst.vars[static_cast<std::size_t>(col)];
-          mass[static_cast<std::size_t>(var.station)] +=
-              res.x[static_cast<std::size_t>(col)];
-          lat_of[static_cast<std::size_t>(var.station)] = var.latency_ms;
+          if (masses.empty() || masses.back().station != var.station) {
+            masses.push_back(StationMass{var.station, 0.0, var.latency_ms});
+          }
+          masses.back().mass += res.x[static_cast<std::size_t>(col)];
         }
         double best_mass = 0.0;
-        for (double m : mass) best_mass = std::max(best_mass, m);
+        for (const StationMass& m : masses) {
+          best_mass = std::max(best_mass, m.mass);
+        }
         if (best_mass < 0.25) continue;  // no meaningful LP support
         int best_bs = -1;
         double best_lat = 0.0;
-        for (std::size_t bs = 0; bs < mass.size(); ++bs) {
-          if (mass[bs] < 0.5 * best_mass || mass[bs] < 0.25) continue;
-          const double lat = lat_of[bs];
-          if (best_bs < 0 || lat < best_lat) {
-            best_bs = static_cast<int>(bs);
-            best_lat = lat;
+        for (const StationMass& m : masses) {
+          if (m.mass < 0.5 * best_mass || m.mass < 0.25) continue;
+          if (best_bs < 0 || m.latency_ms < best_lat ||
+              (m.latency_ms == best_lat && m.station < best_bs)) {
+            best_bs = m.station;
+            best_lat = m.latency_ms;
           }
         }
         placement[b] = best_bs;

@@ -216,8 +216,13 @@ class DynamicRrPolicy final : public OnlinePolicy {
   std::vector<mec::ARRequest> scratch_batch_;
   std::vector<int> scratch_placement_;
   std::vector<double> scratch_placement_lat_;
-  std::vector<double> scratch_mass_;
-  std::vector<double> scratch_lat_of_;
+  /// One station's share of a request's LP solution in the rounding pass.
+  struct StationMass {
+    int station;
+    double mass;
+    double latency_ms;
+  };
+  std::vector<StationMass> scratch_station_mass_;
 };
 
 }  // namespace mecar::sim

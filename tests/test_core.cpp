@@ -3,7 +3,11 @@
 // exact ILP, and Theorem 1's bound checked empirically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "core/appro.h"
@@ -16,6 +20,7 @@
 #include "lp/revised_simplex.h"
 #include "lp/simplex.h"
 #include "mec/topology.h"
+#include "mec/topology_overlay.h"
 #include "mec/workload.h"
 #include "util/rng.h"
 
@@ -128,6 +133,173 @@ TEST(CandidateStations, RespectsMaxCandidates) {
   EXPECT_LE(candidate_stations(topo, req, params).size(), 3u);
   params.max_candidate_stations = 0;  // unlimited
   EXPECT_GT(candidate_stations(topo, req, params).size(), 3u);
+}
+
+// --- Candidate kernel vs the reference filter -> sort -> truncate ----------
+
+/// The candidate contract spelled out the slow way: every station's
+/// placement latency, the budget filter, a full sort by (latency, station),
+/// then truncation.
+std::vector<CandidateStation> reference_candidates(
+    const mec::Topology& topo, const mec::ARRequest& req,
+    const AlgorithmParams& params, double waiting_ms) {
+  std::vector<CandidateStation> feasible;
+  for (int bs = 0; bs < topo.num_stations(); ++bs) {
+    const double lat = mec::placement_latency_ms(topo, req, bs);
+    if (waiting_ms + lat <= req.latency_budget_ms) {
+      feasible.push_back(CandidateStation{bs, lat});
+    }
+  }
+  std::sort(feasible.begin(), feasible.end(),
+            [](const CandidateStation& a, const CandidateStation& b) {
+              if (a.latency_ms != b.latency_ms) {
+                return a.latency_ms < b.latency_ms;
+              }
+              return a.station < b.station;
+            });
+  if (params.max_candidate_stations > 0 &&
+      static_cast<int>(feasible.size()) > params.max_candidate_stations) {
+    feasible.resize(static_cast<std::size_t>(params.max_candidate_stations));
+  }
+  return feasible;
+}
+
+/// Runs candidate_stations against the reference over every limit and
+/// wait of the contract; returns how many non-empty lists were compared.
+int expect_candidates_match_reference(const mec::Topology& topo,
+                                      mec::ARRequest req) {
+  const int n = topo.num_stations();
+  int compared = 0;
+  for (const double budget :
+       {req.latency_budget_ms, mec::placement_latency_ms(topo, req, n / 2),
+        1e9}) {
+    req.latency_budget_ms = budget;
+    for (const double wait : {0.0, 0.5 * budget, budget, budget + 1.0}) {
+      for (const int k : {0, 1, 3, 10, n, n + 5}) {
+        AlgorithmParams params;
+        params.max_candidate_stations = k;
+        const auto got = candidate_stations(topo, req, params, wait);
+        const auto want = reference_candidates(topo, req, params, wait);
+        EXPECT_EQ(got.size(), want.size())
+            << "k=" << k << " wait=" << wait << " budget=" << budget;
+        if (got.size() != want.size()) return compared;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].station, want[i].station) << "k=" << k << " i=" << i;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].latency_ms),
+                    std::bit_cast<std::uint64_t>(want[i].latency_ms))
+              << "k=" << k << " i=" << i;
+        }
+        compared += got.empty() ? 0 : 1;
+      }
+    }
+  }
+  return compared;
+}
+
+/// A seeded topology whose link delays and processing speeds are all
+/// equal, so placement latencies tie in large groups (same hop count).
+mec::Topology tied_topology(unsigned seed, int num_stations) {
+  util::Rng rng(seed);
+  mec::TopologyParams tp;
+  tp.num_stations = num_stations;
+  tp.link_delay_min_ms = tp.link_delay_max_ms = 4.0;
+  tp.proc_ms_min = tp.proc_ms_max = 2.0;
+  return mec::generate_topology(tp, rng);
+}
+
+mec::ARRequest seeded_request(util::Rng& rng, int num_stations) {
+  mec::ARRequest req = make_request(0, 0, 30, 50, 400, 500);
+  req.home_station = static_cast<int>(rng.uniform_int(0, num_stations - 1));
+  req.tasks = mec::ar_pipeline(static_cast<int>(rng.uniform_int(1, 5)));
+  req.latency_budget_ms = rng.uniform(40.0, 120.0);
+  return req;
+}
+
+TEST(CandidateStations, BoundedSelectionMatchesFullSortWithTies) {
+  for (unsigned seed = 1; seed <= 6; ++seed) {
+    const mec::Topology topo = tied_topology(seed, 60);
+    util::Rng rng(100 + seed);
+    int compared = 0;
+    for (int r = 0; r < 4; ++r) {
+      compared += expect_candidates_match_reference(topo, seeded_request(rng, 60));
+    }
+    EXPECT_GT(compared, 0) << "seed " << seed;
+  }
+}
+
+TEST(CandidateStations, BoundedSelectionMatchesFullSortOnRandomTopologies) {
+  for (unsigned seed = 1; seed <= 6; ++seed) {
+    util::Rng rng(seed);
+    mec::TopologyParams tp;
+    tp.num_stations = 50;
+    const mec::Topology topo = mec::generate_topology(tp, rng);
+    for (int r = 0; r < 4; ++r) {
+      EXPECT_GT(expect_candidates_match_reference(topo, seeded_request(rng, 50)),
+                0);
+    }
+  }
+}
+
+TEST(CandidateStations, BoundedSelectionMatchesFullSortAcrossAPartition) {
+  util::Rng rng(7);
+  const mec::Topology base = tied_topology(7, 40);
+  mec::TopologyOverlay overlay(base);
+  // Cut every link of stations 0..4 plus a random third of the rest, so
+  // some stations sit at infinite delay from most homes.
+  mec::TopologyPerturbation pert;
+  pert.link_down.assign(base.links().size(), 0);
+  for (std::size_t li = 0; li < base.links().size(); ++li) {
+    const mec::Link& link = base.links()[li];
+    if (link.a < 5 || link.b < 5 || rng.uniform() < 0.33) {
+      pert.link_down[li] = 1;
+    }
+  }
+  ASSERT_TRUE(overlay.apply(pert));
+  const mec::Topology& topo = overlay.effective();
+  ASSERT_FALSE(topo.connected());
+  for (int home = 0; home < topo.num_stations(); home += 3) {
+    mec::ARRequest req = seeded_request(rng, topo.num_stations());
+    req.home_station = home;
+    expect_candidates_match_reference(topo, req);
+  }
+}
+
+TEST(MinPlacementLatency, MatchesBruteForceWithAndWithoutUpMask) {
+  for (unsigned seed = 1; seed <= 4; ++seed) {
+    const mec::Topology topo = seed % 2 == 0 ? tied_topology(seed, 30) : [&] {
+      util::Rng topo_rng(seed);
+      mec::TopologyParams tp;
+      tp.num_stations = 30;
+      return mec::generate_topology(tp, topo_rng);
+    }();
+    util::Rng rng(50 + seed);
+    for (int r = 0; r < 8; ++r) {
+      const mec::ARRequest req = seeded_request(rng, topo.num_stations());
+      std::vector<char> up(static_cast<std::size_t>(topo.num_stations()));
+      for (char& u : up) u = rng.uniform() < 0.3 ? 1 : 0;
+      double all = std::numeric_limits<double>::infinity();
+      double masked = all;
+      for (int bs = 0; bs < topo.num_stations(); ++bs) {
+        const double lat = mec::placement_latency_ms(topo, req, bs);
+        all = std::min(all, lat);
+        if (up[static_cast<std::size_t>(bs)] != 0) masked = std::min(masked, lat);
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    mec::min_placement_latency_ms(topo, req)),
+                std::bit_cast<std::uint64_t>(all));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    mec::min_placement_latency_ms(topo, req, up)),
+                std::bit_cast<std::uint64_t>(masked));
+    }
+  }
+  // Every station down: no reachable placement.
+  const mec::Topology topo = small_topology();
+  const mec::ARRequest req = make_request(0, 0, 30, 50, 400, 500);
+  const std::vector<char> none(2, 0);
+  EXPECT_EQ(mec::min_placement_latency_ms(topo, req, none),
+            std::numeric_limits<double>::infinity());
+  EXPECT_THROW(mec::min_placement_latency_ms(topo, req, std::vector<char>(3, 1)),
+               std::invalid_argument);
 }
 
 TEST(SlotLp, SlotsPerStationFollowCl) {
@@ -696,6 +868,38 @@ TEST(IncrementalSlotLp, CapacityChurnPreservingSlotCountsStaysOnDeltaPath) {
       static_cast<std::size_t>(topo.num_stations()), 3400.0);
   (void)inc.build(topo, requests, params, options);
   EXPECT_EQ(inc.stats().full_builds, 2);
+}
+
+TEST(IncrementalSlotLp, HandoverReplacesTheOldHomesColumns) {
+  // A handover keeps the request id and, with every station in budget and
+  // a candidate limit, the candidate count: only the stations change. The
+  // builder must not reuse the columns placed around the old home.
+  util::Rng rng(5);
+  mec::TopologyParams tparams;
+  tparams.num_stations = 60;
+  const mec::Topology topo = mec::generate_topology(tparams, rng);
+  std::vector<mec::ARRequest> batch{make_request(7, 0, 30, 50, 400, 500)};
+  batch[0].latency_budget_ms = 1000.0;
+  AlgorithmParams params;
+  params.max_candidate_stations = 3;
+  const SlotLpOptions options;
+
+  IncrementalSlotLp inc;
+  (void)inc.build(topo, batch, params, options);
+  batch[0].home_station = 59;
+  const SlotLpInstance& got = inc.build(topo, batch, params, options);
+  const SlotLpInstance want = build_slot_lp(topo, batch, params, options);
+  EXPECT_EQ(inc.stats().reuses, 0);
+  EXPECT_EQ(inc.stats().delta_builds, 1);
+  ASSERT_EQ(got.request_columns[0].size(), want.request_columns[0].size());
+  for (std::size_t i = 0; i < want.request_columns[0].size(); ++i) {
+    const SlotVar& g =
+        got.vars[static_cast<std::size_t>(got.request_columns[0][i])];
+    const SlotVar& w =
+        want.vars[static_cast<std::size_t>(want.request_columns[0][i])];
+    EXPECT_EQ(g.station, w.station) << i;
+    EXPECT_EQ(g.latency_ms, w.latency_ms) << i;
+  }
 }
 
 TEST(IncrementalSlotLp, GhostEntrySharingAnIdForcesNewColumns) {

@@ -123,6 +123,50 @@ TEST(SlotLpMatrix, LatencyFilterDropsAllColumns) {
   EXPECT_TRUE(inst.request_columns[0].empty());
 }
 
+TEST(SlotLpMatrix, CapacityRowsFollowStationSlotOrder) {
+  // A line 0 - 1 - 2 - 3 with 1 ms links. Station 1 processes so slowly
+  // that no request can use it; station 2 has three slots, the rest two.
+  std::vector<mec::BaseStation> stations{{0, 2600.0, 1.0, 0.0, 0.0},
+                                         {1, 2600.0, 100.0, 1.0, 0.0},
+                                         {2, 3600.0, 1.0, 2.0, 0.0},
+                                         {3, 2600.0, 1.0, 3.0, 0.0}};
+  std::vector<mec::Link> links{{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}};
+  const mec::Topology topo(std::move(stations), std::move(links));
+  // Homes alternate between the two ends, so each station's columns come
+  // from several requests and interleave with other stations' columns.
+  std::vector<mec::ARRequest> requests;
+  for (int j = 0; j < 4; ++j) {
+    requests.push_back(two_level_request(j));
+    requests.back().home_station = j % 2 == 0 ? 3 : 0;
+    requests.back().latency_budget_ms = 20.0;
+  }
+  const auto inst = build_slot_lp(topo, requests, AlgorithmParams{});
+
+  std::vector<std::pair<int, int>> order;  // (station, l) of capacity rows
+  for (int r = 0; r < inst.model.num_constraints(); ++r) {
+    const lp::Row& row = inst.model.row(r);
+    if (row.name.rfind("slots_", 0) != 0) continue;
+    const std::size_t sep = row.name.find('_', 6);
+    const int bs = std::stoi(row.name.substr(6, sep - 6));
+    const int l = std::stoi(row.name.substr(sep + 1));
+    order.emplace_back(bs, l);
+    // Exactly this station's columns below slot l, in ascending id order.
+    std::vector<int> want;
+    for (std::size_t c = 0; c < inst.vars.size(); ++c) {
+      if (inst.vars[c].station == bs && inst.vars[c].slot < l) {
+        want.push_back(static_cast<int>(c));
+      }
+    }
+    std::vector<int> got;
+    for (const lp::Term& term : row.terms) got.push_back(term.col);
+    EXPECT_EQ(got, want) << row.name;
+  }
+  // Station 1 has no candidate columns, so it emits no capacity rows.
+  const std::vector<std::pair<int, int>> expected{
+      {0, 1}, {0, 2}, {2, 1}, {2, 2}, {2, 3}, {3, 1}, {3, 2}};
+  EXPECT_EQ(order, expected);
+}
+
 TEST(SlotLpMatrix, IlpRmUsesExpectedDemandRows) {
   const mec::Topology topo = one_station();
   std::vector<mec::ARRequest> requests{two_level_request(0),
