@@ -20,23 +20,33 @@ int Model::add_variable(std::string name, double objective, double upper,
 
 int Model::add_constraint(std::string name, Sense sense, double rhs,
                           std::vector<Term> terms) {
-  std::map<int, double> merged;
   for (const Term& t : terms) {
     if (t.col < 0 || t.col >= num_variables()) {
       throw std::out_of_range("Model: term references unknown column");
     }
-    merged[t.col] += t.coeff;
   }
+  // Callers such as build_slot_lp already pass strictly ascending columns;
+  // only other input goes through the merge, which also sorts it.
+  const bool ascending =
+      std::adjacent_find(terms.begin(), terms.end(),
+                         [](const Term& a, const Term& b) {
+                           return a.col >= b.col;
+                         }) == terms.end();
+  if (!ascending) {
+    std::map<int, double> merged;
+    for (const Term& t : terms) merged[t.col] += t.coeff;
+    terms.clear();
+    for (const auto& [col, coeff] : merged) terms.push_back(Term{col, coeff});
+  }
+  std::erase_if(terms, [](const Term& t) { return t.coeff == 0.0; });
   Row row;
   row.name = std::move(name);
   row.sense = sense;
   row.rhs = rhs;
+  row.terms = std::move(terms);
   const int row_index = static_cast<int>(rows_.size());
-  for (const auto& [col, coeff] : merged) {
-    if (coeff != 0.0) {
-      row.terms.push_back(Term{col, coeff});
-      col_rows_[static_cast<std::size_t>(col)].push_back(row_index);
-    }
+  for (const Term& t : row.terms) {
+    col_rows_[static_cast<std::size_t>(t.col)].push_back(row_index);
   }
   rows_.push_back(std::move(row));
   return row_index;

@@ -105,6 +105,10 @@ class Model {
   const Row& row(int r) const { return rows_.at(r); }
   const std::vector<Variable>& variables() const noexcept { return vars_; }
   const std::vector<Row>& rows() const noexcept { return rows_; }
+  /// Rows column `col` appears in, ascending.
+  const std::vector<int>& column_rows(int col) const {
+    return col_rows_.at(static_cast<std::size_t>(col));
+  }
 
   bool has_integrality() const noexcept;
 

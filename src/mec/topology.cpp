@@ -48,27 +48,46 @@ Topology::Topology(std::vector<BaseStation> stations, std::vector<Link> links)
 
 void Topology::compute_shortest_paths() {
   const auto n = stations_.size();
-  dist_.assign(n * n, kInf);
-  parent_link_.assign(n * n, -1);
+  dist_.resize(n * n);
+  parent_link_.resize(n * n);
+  for (std::size_t src = 0; src < n; ++src) sweep_row(src);
+}
+
+void Topology::sweep_row(std::size_t src) {
+  const auto n = stations_.size();
+  auto* row = &dist_[src * n];
+  auto* parents = &parent_link_[src * n];
+  std::fill(row, row + n, kInf);
+  std::fill(parents, parents + n, -1);
   using Entry = std::pair<double, int>;  // (distance, node)
-  for (std::size_t src = 0; src < n; ++src) {
-    auto* row = &dist_[src * n];
-    auto* parents = &parent_link_[src * n];
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-    row[src] = 0.0;
-    heap.emplace(0.0, static_cast<int>(src));
-    while (!heap.empty()) {
-      const auto [d, u] = heap.top();
-      heap.pop();
-      if (d > row[u]) continue;
-      for (const Edge& edge : adjacency_[static_cast<std::size_t>(u)]) {
-        const double nd = d + edge.delay;
-        if (nd < row[edge.to]) {
-          row[edge.to] = nd;
-          parents[edge.to] = edge.link;
-          heap.emplace(nd, edge.to);
-        }
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  row[src] = 0.0;
+  heap.emplace(0.0, static_cast<int>(src));
+  while (!heap.empty()) {
+    const auto [d, u] = heap.top();
+    heap.pop();
+    if (d > row[u]) continue;
+    for (const Edge& edge : adjacency_[static_cast<std::size_t>(u)]) {
+      const double nd = d + edge.delay;
+      if (nd < row[edge.to]) {
+        row[edge.to] = nd;
+        parents[edge.to] = edge.link;
+        heap.emplace(nd, edge.to);
       }
+    }
+  }
+}
+
+void Topology::set_capacity(int station, double capacity_mhz) {
+  stations_[static_cast<std::size_t>(station)].capacity_mhz = capacity_mhz;
+}
+
+void Topology::set_link_delay(int link, double delay_ms) {
+  Link& l = links_[static_cast<std::size_t>(link)];
+  l.delay_ms = delay_ms;
+  for (const int end : {l.a, l.b}) {
+    for (Edge& edge : adjacency_[static_cast<std::size_t>(end)]) {
+      if (edge.link == link) edge.delay = delay_ms;
     }
   }
 }
@@ -133,9 +152,10 @@ std::vector<int> Topology::stations_by_distance(int from) const {
   for (int i = 0; i < num_stations(); ++i) {
     order[static_cast<std::size_t>(i)] = i;
   }
+  const std::span<const double> row = delay_row(from);
   std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const double da = transmission_delay_ms(from, a);
-    const double db = transmission_delay_ms(from, b);
+    const double da = row[static_cast<std::size_t>(a)];
+    const double db = row[static_cast<std::size_t>(b)];
     if (da != db) return da < db;
     return a < b;
   });

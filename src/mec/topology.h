@@ -44,8 +44,11 @@ struct Link {
   double bandwidth_mbps = std::numeric_limits<double>::infinity();
 };
 
+class TopologyOverlay;
+
 /// Immutable network: stations, links, and all-pairs shortest-path
-/// transmission delays (ms per rho_unit).
+/// transmission delays (ms per rho_unit). Only a TopologyOverlay mutates
+/// one, in place, through the private mutators below.
 class Topology {
  public:
   Topology(std::vector<BaseStation> stations, std::vector<Link> links);
@@ -83,7 +86,17 @@ class Topology {
   std::vector<int> shortest_path_links(int from, int to) const;
 
  private:
+  friend class TopologyOverlay;
+
   void compute_shortest_paths();
+  /// One Dijkstra sweep: recomputes row `src` of dist_ and parent_link_.
+  void sweep_row(std::size_t src);
+
+  /// Overlay mutators: rewrite a station's capacity, or a link's delay in
+  /// links_ and both adjacency entries. Neither touches the delay rows;
+  /// the overlay repairs those itself.
+  void set_capacity(int station, double capacity_mhz);
+  void set_link_delay(int link, double delay_ms);
 
   std::vector<BaseStation> stations_;
   std::vector<Link> links_;

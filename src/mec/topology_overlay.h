@@ -3,14 +3,18 @@
 // `Topology` precomputes all-pairs shortest transmission delays at
 // construction — exactly right for the fault-free case and exactly wrong
 // once backhaul links fail mid-horizon. TopologyOverlay bridges the two: it
-// owns a mutable *effective* copy of a base topology and rebuilds it
-// (re-running the Dijkstra sweep) only when the applied perturbation set
-// actually changes — a fault-epoch boundary. The effective topology is a
-// stable reference: callers bind `const Topology&` once and observe every
-// epoch through it, so all consumers of the `candidate_stations` /
-// `placement_latency_ms` interface (core/, baselines/, sim/) see capacity
-// brownouts, link outages, and link latency inflation uniformly, with no
-// interface change.
+// owns a mutable *effective* copy of a base topology and updates it only
+// when the applied perturbation set actually changes — a fault-epoch
+// boundary. The update is a repair, not a rebuild: capacities and link
+// delays are rewritten in place, and each shortest-path row recomputes
+// only the tree nodes a changed link reaches (dynamic SSSP in the style of
+// Ramalingam–Reps; DESIGN.md "Fault epochs"). Distances and path parents
+// come out bit-identical to a freshly constructed Topology. The effective
+// topology is a stable reference: callers bind `const Topology&` once and
+// observe every epoch through it, so all consumers of the
+// `candidate_stations` / `placement_latency_ms` interface (core/,
+// baselines/, sim/) see capacity brownouts, link outages, and link latency
+// inflation uniformly, with no interface change.
 //
 // A removed link keeps its index — it is modelled as an infinite-delay edge
 // — so link ids stay valid across epochs for anything that cross-references
@@ -55,30 +59,47 @@ class TopologyOverlay {
   const Topology& effective() const noexcept { return effective_; }
   const Topology& base() const noexcept { return base_; }
 
-  /// Applies a perturbation, rebuilding the effective topology only when
-  /// it differs from the active one. Returns true when a rebuild happened.
+  /// Applies a perturbation, updating the effective topology only when it
+  /// differs from the active one. Returns true when an update (a new fault
+  /// epoch) happened.
   /// Throws std::invalid_argument on size mismatches or negative scales.
   bool apply(const TopologyPerturbation& pert);
 
-  /// Reverts to the unperturbed base. Returns true when a rebuild happened.
+  /// Reverts to the unperturbed base. Returns true when an update happened.
   bool reset();
 
-  /// Number of rebuilds so far — fault epochs entered, including the
+  /// Number of updates so far — fault epochs entered, including the
   /// return-to-healthy epoch after a fault clears.
   int epochs() const noexcept { return epochs_; }
 
   /// Overwrites the epoch count. Checkpoint restore primes the overlay by
-  /// replaying the pre-resume perturbation (one rebuild), then stamps the
+  /// replaying the pre-resume perturbation (one update), then stamps the
   /// counter a mid-run snapshot recorded so fault_epochs reporting stays
   /// bit-identical to an uninterrupted run.
   void set_epochs(int epochs) noexcept { epochs_ = epochs; }
 
  private:
-  void rebuild();
+  struct Repair;
+
+  /// Rewrites the effective capacities and link delays for active_, then
+  /// repairs every shortest-path row the changed links reach.
+  void update();
+  /// Repairs row `src` after the link changes in `repair`.
+  void repair_row(std::size_t src, Repair& repair);
+  /// True when row `src` settles in (distance, station) order: no edge
+  /// (u, v) of a reached u has d(u) + w == d(u). Only such rows can be
+  /// repaired; the others are re-swept.
+  bool settles_in_order(std::size_t src,
+                        const std::vector<int>& flat_links) const;
+  /// Links whose delay is zero or small enough that d + w == d for some
+  /// finite shortest distance d of the effective topology.
+  std::vector<int> flat_links() const;
 
   const Topology& base_;
   TopologyPerturbation active_;
   Topology effective_;
+  /// Per row: settles_in_order() held when the row was last computed.
+  std::vector<char> ordered_rows_;
   int epochs_ = 0;
 };
 

@@ -100,9 +100,14 @@ class SnapshotReader {
   /// (offset 8) or CRC mismatch (offset of the stored CRC).
   SnapshotReader(const std::vector<std::uint8_t>& framed, std::uint32_t magic,
                  std::uint32_t version);
+  /// The reader keeps a view of its buffer, so a temporary would dangle
+  /// once the full-expression ends: hold the bytes in a named variable.
+  SnapshotReader(std::vector<std::uint8_t>&& framed, std::uint32_t magic,
+                 std::uint32_t version) = delete;
 
   /// Wraps an unframed payload (a nested blob); no magic/CRC check.
   static SnapshotReader unframed(const std::vector<std::uint8_t>& payload);
+  static SnapshotReader unframed(std::vector<std::uint8_t>&& payload) = delete;
 
   std::uint8_t u8();
   std::uint32_t u32();

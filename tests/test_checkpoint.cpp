@@ -254,7 +254,8 @@ TEST(CheckpointStore, GenerationsNewestFirstAndPrunedToTwo) {
   EXPECT_EQ(gens[1], p2);
   EXPECT_THROW(CheckpointStore::read_file(p1), std::runtime_error);
 
-  util::SnapshotReader r(CheckpointStore::read_file(p3), kMagic, kVersion);
+  const std::vector<std::uint8_t> newest = CheckpointStore::read_file(p3);
+  util::SnapshotReader r(newest, kMagic, kVersion);
   EXPECT_EQ(r.u32(), 3u);
   r.expect_end();
 }
@@ -278,8 +279,8 @@ TEST(CheckpointStore, CorruptedNewestFallsBackToPrevious) {
   std::size_t rejected_at = 0;
   for (const std::string& path : store.generations()) {
     try {
-      util::SnapshotReader r(CheckpointStore::read_file(path), kMagic,
-                             kVersion);
+      const std::vector<std::uint8_t> bytes = CheckpointStore::read_file(path);
+      util::SnapshotReader r(bytes, kMagic, kVersion);
       recovered = r.str();
       r.expect_end();
       break;

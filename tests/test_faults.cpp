@@ -4,9 +4,14 @@
 // their cause, and chaos generation is seed-deterministic.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "mec/topology_overlay.h"
 #include "mec/workload.h"
@@ -119,6 +124,272 @@ TEST(TopologyOverlay, RejectsMalformedPerturbations) {
   shrink.link_delay_scale = {0.5};  // delay scales must be >= 1
   EXPECT_THROW(overlay.apply(shrink), std::invalid_argument);
   EXPECT_EQ(overlay.epochs(), 0);  // failed applies change nothing
+}
+
+// ---------------------------------------------------------------------------
+// TopologyOverlay repair: every epoch must equal a freshly built Topology
+// bit for bit — transmission delays and shortest paths alike.
+
+/// What a fresh construction gives for `pert` over `base`.
+mec::Topology fresh_topology(const mec::Topology& base,
+                             const mec::TopologyPerturbation& pert) {
+  std::vector<mec::BaseStation> stations = base.stations();
+  for (std::size_t i = 0; i < pert.capacity_scale.size(); ++i) {
+    stations[i].capacity_mhz *= pert.capacity_scale[i];
+  }
+  std::vector<mec::Link> links = base.links();
+  for (std::size_t li = 0; li < links.size(); ++li) {
+    if (!pert.link_down.empty() && pert.link_down[li] != 0) {
+      links[li].delay_ms = std::numeric_limits<double>::infinity();
+    } else if (!pert.link_delay_scale.empty()) {
+      links[li].delay_ms *= pert.link_delay_scale[li];
+    }
+  }
+  return mec::Topology(std::move(stations), std::move(links));
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Asserts `got` equals `want` bit for bit; returns false on the first
+/// difference so callers can stop a long sequence early.
+bool same_topology(const mec::Topology& got, const mec::Topology& want) {
+  const int n = want.num_stations();
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(bits(got.station(i).capacity_mhz),
+              bits(want.station(i).capacity_mhz))
+        << "station " << i;
+  }
+  for (std::size_t li = 0; li < want.links().size(); ++li) {
+    EXPECT_EQ(bits(got.links()[li].delay_ms), bits(want.links()[li].delay_ms))
+        << "link " << li;
+  }
+  for (int from = 0; from < n; ++from) {
+    for (int to = 0; to < n; ++to) {
+      const double d = want.transmission_delay_ms(from, to);
+      if (bits(got.transmission_delay_ms(from, to)) != bits(d)) {
+        ADD_FAILURE() << "delay " << from << "->" << to << ": "
+                      << got.transmission_delay_ms(from, to) << " vs " << d;
+        return false;
+      }
+      if (std::isfinite(d) && got.shortest_path_links(from, to) !=
+                                  want.shortest_path_links(from, to)) {
+        ADD_FAILURE() << "path " << from << "->" << to;
+        return false;
+      }
+    }
+  }
+  return !::testing::Test::HasFailure();
+}
+
+/// A Waxman topology; `integer_delays` rounds delays to 1..4 ms so that
+/// equal-length paths, and with them parent ties, are common.
+mec::Topology waxman(int stations, std::uint64_t seed, bool integer_delays) {
+  util::Rng rng(seed);
+  mec::TopologyParams params;
+  params.num_stations = stations;
+  const mec::Topology topo = mec::generate_topology(params, rng);
+  if (!integer_delays) return topo;
+  std::vector<mec::Link> links = topo.links();
+  for (mec::Link& l : links) {
+    l.delay_ms = static_cast<double>(rng.uniform_int(1, 4));
+  }
+  return mec::Topology(topo.stations(), std::move(links));
+}
+
+/// Random cut / degrade / restore / brownout epochs against a fresh
+/// build after every apply.
+void check_random_epochs(const mec::Topology& base, std::uint64_t seed,
+                         int epochs) {
+  util::Rng rng(seed);
+  mec::TopologyOverlay overlay(base);
+  const auto links = base.links().size();
+  const auto stations = static_cast<std::size_t>(base.num_stations());
+  const auto pick = [&](std::size_t size) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+  };
+  mec::TopologyPerturbation pert;
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    switch (rng.uniform_int(0, 3)) {
+      case 0:  // cut
+        if (pert.link_down.empty()) pert.link_down.assign(links, 0);
+        pert.link_down[pick(links)] = 1;
+        pert.link_down[pick(links)] = 1;
+        break;
+      case 1:  // degrade
+        if (pert.link_delay_scale.empty()) {
+          pert.link_delay_scale.assign(links, 1.0);
+        }
+        pert.link_delay_scale[pick(links)] =
+            rng.bernoulli(0.5) ? 2.0 : rng.uniform(1.0, 3.0);
+        break;
+      case 2:  // restore some links
+        for (std::size_t li = 0; li < links; ++li) {
+          if (!rng.bernoulli(0.4)) continue;
+          if (!pert.link_down.empty()) pert.link_down[li] = 0;
+          if (!pert.link_delay_scale.empty()) pert.link_delay_scale[li] = 1.0;
+        }
+        break;
+      default:  // brownout
+        if (pert.capacity_scale.empty()) {
+          pert.capacity_scale.assign(stations, 1.0);
+        }
+        pert.capacity_scale[pick(stations)] = rng.uniform(0.2, 1.0);
+        break;
+    }
+    overlay.apply(pert);
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    if (!same_topology(overlay.effective(), fresh_topology(base, pert))) {
+      return;
+    }
+  }
+}
+
+TEST(OverlayRepair, RandomEpochsMatchFreshTopologyOnWaxman) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    check_random_epochs(waxman(30, seed, /*integer_delays=*/false), seed, 30);
+    check_random_epochs(waxman(30, seed, /*integer_delays=*/true), seed, 30);
+  }
+}
+
+TEST(OverlayRepair, PartitionAndHealMatchFreshTopology) {
+  const mec::Topology base = waxman(25, 11, /*integer_delays=*/true);
+  mec::TopologyOverlay overlay(base);
+  // Cut every link of station 0 and of the first station that borders it:
+  // both become islands, their rows go infinite, the rest reroutes.
+  const auto& links = base.links();
+  const int neighbour = links.front().a == 0 ? links.front().b : links.front().a;
+  mec::TopologyPerturbation cut;
+  cut.link_down.assign(links.size(), 0);
+  for (std::size_t li = 0; li < links.size(); ++li) {
+    if (links[li].a == 0 || links[li].b == 0 || links[li].a == neighbour ||
+        links[li].b == neighbour) {
+      cut.link_down[li] = 1;
+    }
+  }
+  ASSERT_TRUE(overlay.apply(cut));
+  EXPECT_FALSE(overlay.effective().connected());
+  EXPECT_FALSE(std::isfinite(overlay.effective().transmission_delay_ms(0, 1)));
+  ASSERT_TRUE(same_topology(overlay.effective(), fresh_topology(base, cut)));
+  // Heal: the effective topology returns to the base exactly.
+  ASSERT_TRUE(overlay.reset());
+  EXPECT_TRUE(overlay.effective().connected());
+  ASSERT_TRUE(same_topology(overlay.effective(), base));
+}
+
+TEST(OverlayRepair, ParallelLinksTieOnLowestLinkIndex) {
+  // 0 -- 1 over links 0 and 2 (equal delay), 1 -- 2 over link 1 and link 3
+  // (slower), plus a direct 0 -- 2 link 4 that ties with 0 -- 1 -- 2.
+  std::vector<mec::BaseStation> stations{
+      {0, 1000.0, 1.0, 0.0, 0.0},
+      {1, 1000.0, 1.0, 0.1, 0.0},
+      {2, 1000.0, 1.0, 0.2, 0.0},
+  };
+  const std::vector<mec::Link> links{
+      {0, 1, 2.0}, {1, 2, 2.0}, {0, 1, 2.0}, {1, 2, 3.0}, {0, 2, 4.0}};
+  const mec::Topology base(stations, links);
+  EXPECT_EQ(base.shortest_path_links(0, 1), std::vector<int>({0}));
+  mec::TopologyOverlay overlay(base);
+
+  const auto expect_epoch = [&](const mec::TopologyPerturbation& pert) {
+    overlay.apply(pert);
+    return same_topology(overlay.effective(), fresh_topology(base, pert));
+  };
+  mec::TopologyPerturbation pert;
+  pert.link_delay_scale = {2.0, 1.0, 1.0, 1.0, 1.0};  // twin 2 takes over
+  ASSERT_TRUE(expect_epoch(pert));
+  EXPECT_EQ(overlay.effective().shortest_path_links(0, 1), std::vector<int>({2}));
+  pert.link_delay_scale.clear();  // restored: link 0 wins the tie again
+  ASSERT_TRUE(expect_epoch(pert));
+  EXPECT_EQ(overlay.effective().shortest_path_links(0, 1), std::vector<int>({0}));
+  pert.link_down = {0, 1, 0, 0, 0};  // 1 -- 2 falls back to link 3
+  ASSERT_TRUE(expect_epoch(pert));
+  pert.link_down = {1, 1, 1, 0, 0};  // 0 -- 1 only via link 4 and link 3
+  ASSERT_TRUE(expect_epoch(pert));
+  pert.link_down.clear();
+  pert.link_delay_scale = {1.0, 1.0, 1.0, 1.0, 1.25};  // 0 -- 2 via 1 now
+  ASSERT_TRUE(expect_epoch(pert));
+  EXPECT_EQ(overlay.effective().shortest_path_links(0, 2),
+            std::vector<int>({0, 1}));
+  // Healthy again: 4 == 2 + 2, and the tie goes to the edge out of the
+  // nearer station, link 4 out of station 0.
+  ASSERT_TRUE(expect_epoch(mec::TopologyPerturbation{}));
+  EXPECT_EQ(overlay.effective().shortest_path_links(0, 2), std::vector<int>({4}));
+}
+
+TEST(OverlayRepair, ZeroDelayLinkFallsBackToAFreshSweep) {
+  // A zero-delay link makes d(u) + w == d(u), so nodes no longer settle in
+  // (distance, station) order: such rows are re-swept, and the rows after
+  // the link is cut must be repaired from that state correctly.
+  mec::Topology wax = waxman(20, 5, /*integer_delays=*/true);
+  std::vector<mec::Link> links = wax.links();
+  links[3].delay_ms = 0.0;
+  links[7].delay_ms = 0.0;
+  const mec::Topology base(wax.stations(), links);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    check_random_epochs(base, seed, 40);
+  }
+  mec::TopologyOverlay overlay(base);
+  mec::TopologyPerturbation pert;
+  pert.link_down.assign(links.size(), 0);
+  pert.link_down[3] = 1;
+  overlay.apply(pert);
+  ASSERT_TRUE(same_topology(overlay.effective(), fresh_topology(base, pert)));
+  pert.link_down[3] = 0;
+  pert.link_down[7] = 1;
+  overlay.apply(pert);
+  ASSERT_TRUE(same_topology(overlay.effective(), fresh_topology(base, pert)));
+}
+
+TEST(OverlayRepair, CapacityOnlyEpochLeavesDelayRowsUntouched) {
+  const mec::Topology base = waxman(20, 3, /*integer_delays=*/false);
+  mec::TopologyOverlay overlay(base);
+  mec::TopologyPerturbation degrade;
+  degrade.link_delay_scale.assign(base.links().size(), 1.0);
+  degrade.link_delay_scale[0] = 3.0;
+  ASSERT_TRUE(overlay.apply(degrade));
+  const mec::Topology& eff = overlay.effective();
+  const std::span<const double> row = eff.delay_row(4);
+  const std::vector<double> before(row.begin(), row.end());
+
+  mec::TopologyPerturbation brownout = degrade;
+  brownout.capacity_scale.assign(20, 1.0);
+  brownout.capacity_scale[4] = 0.25;
+  ASSERT_TRUE(overlay.apply(brownout));
+  EXPECT_EQ(eff.delay_row(4).data(), row.data());  // repaired in place
+  for (std::size_t j = 0; j < before.size(); ++j) {
+    EXPECT_EQ(bits(eff.delay_row(4)[j]), bits(before[j])) << "column " << j;
+  }
+  EXPECT_EQ(eff.station(4).capacity_mhz, base.station(4).capacity_mhz * 0.25);
+  ASSERT_TRUE(same_topology(eff, fresh_topology(base, brownout)));
+}
+
+TEST(OverlayRepair, PrimingFromBaseMatchesTheRunningOverlay) {
+  // A resume primes a new overlay by applying the pre-resume perturbation
+  // straight onto the base; it must land where the epoch-by-epoch overlay
+  // did.
+  const mec::Topology base = waxman(24, 9, /*integer_delays=*/true);
+  util::Rng rng(9);
+  mec::TopologyOverlay running(base);
+  mec::TopologyPerturbation pert;
+  pert.link_down.assign(base.links().size(), 0);
+  pert.link_delay_scale.assign(base.links().size(), 1.0);
+  for (int epoch = 0; epoch < 12; ++epoch) {
+    const auto li = static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(base.links().size()) - 1));
+    if (epoch % 3 == 2) {
+      pert.link_down[li] = 1;
+    } else {
+      pert.link_delay_scale[li] = 1.5;
+    }
+    running.apply(pert);
+    mec::TopologyOverlay primed(base);
+    ASSERT_TRUE(primed.apply(pert));
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    ASSERT_TRUE(same_topology(primed.effective(), running.effective()));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "lp/branch_and_bound.h"
@@ -123,6 +124,54 @@ TEST(Model, MergesDuplicateTermsAndDropsZeros) {
   ASSERT_EQ(row.terms.size(), 1u);
   EXPECT_EQ(row.terms[0].col, 0);
   EXPECT_DOUBLE_EQ(row.terms[0].coeff, 5.0);
+}
+
+TEST(Model, SortedUnsortedAndDuplicateTermsBuildIdenticalRows) {
+  // Ascending input skips the merge; shuffled or duplicated input goes
+  // through it. All three spell the same rows, so the models must agree
+  // term for term, zero drops included, and in the column-to-row index.
+  const std::vector<std::vector<Term>> sorted{
+      {{0, 1.5}, {2, -0.0}, {3, 2.0}, {5, 0.25}},
+      {{1, 4.0}, {2, 1.0}, {4, 0.0}, {5, -3.0}},
+      {{0, 2.0}, {3, 1.0}},
+  };
+  const std::vector<std::vector<Term>> unsorted{
+      {{5, 0.25}, {0, 1.5}, {3, 2.0}, {2, -0.0}},
+      {{5, -3.0}, {4, 0.0}, {2, 1.0}, {1, 4.0}},
+      {{3, 1.0}, {0, 2.0}},
+  };
+  const std::vector<std::vector<Term>> duplicate{
+      {{0, 1.0}, {0, 0.5}, {2, 0.0}, {3, 2.0}, {5, 0.25}},
+      {{1, 4.0}, {2, 1.0}, {4, 1.0}, {4, -1.0}, {5, -3.0}},
+      {{0, 2.0}, {3, 0.5}, {3, 0.5}},
+  };
+  const auto build = [](const std::vector<std::vector<Term>>& rows) {
+    Model m;
+    for (int j = 0; j < 6; ++j) m.add_variable("x" + std::to_string(j), 1.0);
+    for (const std::vector<Term>& terms : rows) {
+      m.add_constraint("c", Sense::kLe, 1.0, terms);
+    }
+    return m;
+  };
+  const Model a = build(sorted);
+  for (const Model& b : {build(unsorted), build(duplicate)}) {
+    ASSERT_EQ(b.num_constraints(), a.num_constraints());
+    for (int r = 0; r < a.num_constraints(); ++r) {
+      const std::vector<Term>& ta = a.row(r).terms;
+      const std::vector<Term>& tb = b.row(r).terms;
+      ASSERT_EQ(ta.size(), tb.size()) << "row " << r;
+      for (std::size_t k = 0; k < ta.size(); ++k) {
+        EXPECT_EQ(ta[k].col, tb[k].col) << "row " << r;
+        EXPECT_EQ(ta[k].coeff, tb[k].coeff) << "row " << r;
+        EXPECT_NE(ta[k].coeff, 0.0) << "row " << r;
+      }
+    }
+    for (int j = 0; j < a.num_variables(); ++j) {
+      EXPECT_EQ(a.column_rows(j), b.column_rows(j)) << "column " << j;
+    }
+  }
+  EXPECT_EQ(a.column_rows(2), std::vector<int>({1}));
+  EXPECT_TRUE(a.column_rows(4).empty());
 }
 
 TEST(Model, RejectsUnknownColumn) {

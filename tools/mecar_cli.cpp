@@ -21,6 +21,7 @@
 //
 // Common flags: --seed=N --requests=N --stations=N. Subcommand-specific
 // flags are listed by `mecar_cli <subcommand> --help`.
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -45,6 +46,7 @@
 #include "lp/mps.h"
 #include "lp/revised_simplex.h"
 #include "mec/topology.h"
+#include "mec/topology_overlay.h"
 #include "mec/trace.h"
 #include "mec/workload.h"
 #include "sim/checkpoint.h"
@@ -693,6 +695,196 @@ int cmd_fuzz_ckpt(const util::Cli& cli) {
   return failures == 0 ? 0 : 1;
 }
 
+// ---- fuzz-overlay: repaired-vs-fresh fault-epoch topologies -------------
+
+/// A random base topology by seed % 4: 0 — Waxman; 1 — Waxman with
+/// integer delays 1..4, so equal-length paths (parent ties) are common;
+/// 2 — as 1 plus parallel links; 3 — as 2 plus one zero-delay link, which
+/// drives the overlay's re-sweep fallback.
+mec::Topology fuzz_overlay_topology(std::uint64_t seed, util::Rng& rng) {
+  mec::TopologyParams params;
+  params.num_stations = 4 + static_cast<int>(rng.uniform_int(0, 36));
+  const mec::Topology waxman = mec::generate_topology(params, rng);
+  std::vector<mec::Link> links = waxman.links();
+  const int family = static_cast<int>(seed % 4);
+  const auto integer_delay = [&] {
+    return static_cast<double>(rng.uniform_int(1, 4));
+  };
+  if (family >= 1) {
+    for (mec::Link& l : links) l.delay_ms = integer_delay();
+  }
+  if (family >= 2) {
+    const std::size_t count = links.size();
+    for (std::size_t i = 0; i < count; ++i) {
+      if (!rng.bernoulli(0.2)) continue;
+      mec::Link twin = links[i];
+      if (rng.bernoulli(0.5)) twin.delay_ms = integer_delay();
+      links.push_back(twin);
+    }
+  }
+  if (family == 3) {
+    const auto last = static_cast<std::int64_t>(links.size()) - 1;
+    links[static_cast<std::size_t>(rng.uniform_int(0, last))].delay_ms = 0.0;
+  }
+  return mec::Topology(waxman.stations(), std::move(links));
+}
+
+/// The next epoch's perturbation: cut links (sometimes every link of one
+/// station, a partition), degrade links, heal some, brown out stations
+/// (a capacity-only epoch), or return to healthy.
+mec::TopologyPerturbation fuzz_overlay_step(mec::TopologyPerturbation pert,
+                                            const mec::Topology& base,
+                                            util::Rng& rng) {
+  const auto links = base.links().size();
+  const auto stations = static_cast<std::size_t>(base.num_stations());
+  const auto pick = [&](std::size_t size) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+  };
+  switch (rng.uniform_int(0, 4)) {
+    case 0:
+      if (pert.link_down.empty()) pert.link_down.assign(links, 0);
+      if (rng.bernoulli(0.3)) {
+        const int isolated = static_cast<int>(pick(stations));
+        for (std::size_t li = 0; li < links; ++li) {
+          const mec::Link& l = base.links()[li];
+          if (l.a == isolated || l.b == isolated) pert.link_down[li] = 1;
+        }
+      } else {
+        for (auto k = rng.uniform_int(1, 3); k > 0; --k) {
+          pert.link_down[pick(links)] = 1;
+        }
+      }
+      break;
+    case 1:
+      if (pert.link_delay_scale.empty()) pert.link_delay_scale.assign(links, 1.0);
+      for (auto k = rng.uniform_int(1, 4); k > 0; --k) {
+        pert.link_delay_scale[pick(links)] =
+            rng.bernoulli(0.5) ? 2.0 : rng.uniform(1.0, 4.0);
+      }
+      break;
+    case 2:
+      for (std::size_t li = 0; li < links; ++li) {
+        if (!rng.bernoulli(0.5)) continue;
+        if (!pert.link_down.empty()) pert.link_down[li] = 0;
+        if (!pert.link_delay_scale.empty()) pert.link_delay_scale[li] = 1.0;
+      }
+      break;
+    case 3:
+      if (pert.capacity_scale.empty()) pert.capacity_scale.assign(stations, 1.0);
+      pert.capacity_scale[pick(stations)] = rng.uniform(0.1, 1.0);
+      break;
+    default:
+      pert = mec::TopologyPerturbation{};
+      break;
+  }
+  return pert;
+}
+
+/// The topology a fresh construction gives for `pert` over `base`.
+mec::Topology fuzz_overlay_fresh(const mec::Topology& base,
+                                 const mec::TopologyPerturbation& pert) {
+  std::vector<mec::BaseStation> stations = base.stations();
+  for (std::size_t i = 0; i < pert.capacity_scale.size(); ++i) {
+    stations[i].capacity_mhz *= pert.capacity_scale[i];
+  }
+  std::vector<mec::Link> links = base.links();
+  for (std::size_t li = 0; li < links.size(); ++li) {
+    if (!pert.link_down.empty() && pert.link_down[li] != 0) {
+      links[li].delay_ms = std::numeric_limits<double>::infinity();
+    } else if (!pert.link_delay_scale.empty()) {
+      links[li].delay_ms *= pert.link_delay_scale[li];
+    }
+  }
+  return mec::Topology(std::move(stations), std::move(links));
+}
+
+/// Empty when `got` equals `want` bit for bit — capacities, link delays,
+/// every transmission delay and every shortest path — else the first
+/// difference.
+std::string fuzz_overlay_diff(const mec::Topology& got,
+                              const mec::Topology& want) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const int n = want.num_stations();
+  for (int i = 0; i < n; ++i) {
+    if (bits(got.station(i).capacity_mhz) != bits(want.station(i).capacity_mhz)) {
+      return "capacity of station " + std::to_string(i);
+    }
+  }
+  for (std::size_t li = 0; li < want.links().size(); ++li) {
+    if (bits(got.links()[li].delay_ms) != bits(want.links()[li].delay_ms)) {
+      return "delay of link " + std::to_string(li);
+    }
+  }
+  for (int from = 0; from < n; ++from) {
+    for (int to = 0; to < n; ++to) {
+      const double d = want.transmission_delay_ms(from, to);
+      const std::string pair = std::to_string(from) + "->" + std::to_string(to);
+      if (bits(got.transmission_delay_ms(from, to)) != bits(d)) {
+        return "transmission delay " + pair;
+      }
+      if (std::isfinite(d) &&
+          got.shortest_path_links(from, to) != want.shortest_path_links(from, to)) {
+        return "shortest path " + pair;
+      }
+    }
+  }
+  return {};
+}
+
+/// Applies 24 random fault epochs to an overlay; after each, the repaired
+/// effective topology must equal a fresh construction, and so must an
+/// overlay primed from the base with the same perturbation (a resume).
+bool fuzz_overlay_one(std::uint64_t seed, std::string& why) {
+  util::Rng rng(seed * 0x9e3779b97f4a7c15ull + 424243ull);
+  const mec::Topology base = fuzz_overlay_topology(seed, rng);
+  mec::TopologyOverlay overlay(base);
+  mec::TopologyPerturbation pert;
+  for (int epoch = 0; epoch < 24; ++epoch) {
+    pert = fuzz_overlay_step(std::move(pert), base, rng);
+    overlay.apply(pert);
+    std::string diff =
+        fuzz_overlay_diff(overlay.effective(), fuzz_overlay_fresh(base, pert));
+    if (diff.empty() && rng.bernoulli(0.1)) {
+      mec::TopologyOverlay primed(base);
+      primed.apply(pert);
+      diff = fuzz_overlay_diff(primed.effective(), overlay.effective());
+      if (!diff.empty()) diff = "primed overlay: " + diff;
+    }
+    if (!diff.empty()) {
+      why = "epoch " + std::to_string(epoch) + ": " + diff;
+      return false;
+    }
+  }
+  return true;
+}
+
+int cmd_fuzz_overlay(const util::Cli& cli) {
+  if (cli.has("seed")) {
+    const auto seed =
+        static_cast<std::uint64_t>(cli.get_int_or("seed", 0));
+    std::string why;
+    if (fuzz_overlay_one(seed, why)) {
+      std::cout << "fuzz-overlay: seed " << seed << " ok\n";
+      return 0;
+    }
+    std::cerr << "FAIL seed " << seed << ": " << why << '\n';
+    return 1;
+  }
+  const int seeds = static_cast<int>(cli.get_int_or("seeds", 200));
+  int failures = 0;
+  for (int s = 0; s < seeds; ++s) {
+    std::string why;
+    if (fuzz_overlay_one(static_cast<std::uint64_t>(s), why)) continue;
+    std::cerr << "FAIL seed " << s << ": " << why
+              << "\n  replay: mecar_cli fuzz-overlay --seed=" << s << '\n';
+    ++failures;
+  }
+  std::cout << "fuzz-overlay: " << seeds << " seeds, " << failures
+            << " failure(s)\n";
+  return failures == 0 ? 0 : 1;
+}
+
 /// Table precision a metric defaults to when a spec is run from the CLI
 /// (the compiled benches pin their own per-figure precisions).
 int metric_precision(const std::string& metric) {
@@ -859,7 +1051,7 @@ void usage() {
   std::cout <<
       "usage: mecar_cli "
       "<offline|online|resilience|experiment|metrics|list|topology|trace"
-      "|lp|fuzz-lp|fuzz-ckpt> [flags]\n"
+      "|lp|fuzz-lp|fuzz-ckpt|fuzz-overlay> [flags]\n"
       "  common flags: --seed=N --requests=N --stations=N\n"
       "  online:       --horizon=N\n"
       "  resilience:   --horizon=N --plan=FILE | --chaos=INTENSITY "
@@ -879,7 +1071,9 @@ void usage() {
       "  list:         (no flags) policy registry + scenario keys\n"
       "  trace:        --duration=SECONDS --frame-kb=KB\n"
       "  fuzz-lp:      [--seeds=N] | --seed=K  differential LP fuzzer\n"
-      "  fuzz-ckpt:    [--seeds=N] | --seed=K  snapshot framing fuzzer\n";
+      "  fuzz-ckpt:    [--seeds=N] | --seed=K  snapshot framing fuzzer\n"
+      "  fuzz-overlay: [--seeds=N] | --seed=K  fault-epoch repair vs fresh "
+      "topology\n";
 }
 
 }  // namespace
@@ -903,6 +1097,7 @@ int main(int argc, char** argv) {
     if (command == "lp") return cmd_lp(cli);
     if (command == "fuzz-lp") return cmd_fuzz_lp(cli);
     if (command == "fuzz-ckpt") return cmd_fuzz_ckpt(cli);
+    if (command == "fuzz-overlay") return cmd_fuzz_overlay(cli);
   } catch (const std::exception& error) {
     std::cerr << "mecar_cli: " << error.what() << '\n';
     return 1;
