@@ -4,12 +4,10 @@
 // horizon is the steady state the tentpole optimizes: a slot where little
 // changes must cost O(changes), not O(|R|) rescans of every request.
 //
-// Three runs over common random numbers:
-//   legacy      — the per-slot full-rescan loop (num_shards = -1),
-//   sharded     — the shard engine, same policy settings (must be
-//                 bit-identical to legacy; verified here),
-//   incremental — the shard engine with the DynamicRR incremental slot-LP
-//                 pipeline on (objective-equal, tie-breaks may differ).
+// Two runs over common random numbers:
+//   legacy  — the per-slot full-rescan loop (num_shards = -1),
+//   sharded — the shard engine, same policy settings (must be
+//             bit-identical to legacy; verified here).
 //
 // Slot latency comes from the obs exporters: the sim.slot_wall_ms
 // histogram is reset before each run and its p50/p95/p99 are read back
@@ -59,12 +57,10 @@ struct EngineRun {
   double max = 0.0;
   double slots = 0.0;
   double shard_imbalance = 0.0;
-  long long lp_delta_builds = 0;
-  long long lp_full_builds = 0;
 };
 
 EngineRun run_engine(const exp::Instance& inst, int horizon, int num_shards,
-                     bool incremental_lp, int seeds, std::string label) {
+                     int seeds, std::string label) {
   EngineRun out;
   out.label = std::move(label);
   // Pool the per-slot samples of every seed into one histogram so the
@@ -74,9 +70,8 @@ EngineRun run_engine(const exp::Instance& inst, int horizon, int num_shards,
     sim::OnlineParams params;
     params.horizon_slots = horizon;
     params.num_shards = num_shards;
-    sim::DynamicRrParams rr;
-    rr.incremental_lp = incremental_lp;
-    sim::DynamicRrPolicy policy(inst.topo, core::AlgorithmParams{}, rr,
+    sim::DynamicRrPolicy policy(inst.topo, core::AlgorithmParams{},
+                                sim::DynamicRrParams{},
                                 util::Rng(static_cast<unsigned>(s) + 1u));
     sim::OnlineSimulator simulator(inst.topo, inst.requests, inst.realized,
                                    params);
@@ -86,8 +81,6 @@ EngineRun run_engine(const exp::Instance& inst, int horizon, int num_shards,
     out.reward += metrics.total_reward;
     out.completed += static_cast<double>(metrics.completed);
     out.drops += static_cast<double>(metrics.dropped);
-    out.lp_delta_builds += policy.incremental_lp_stats().delta_builds;
-    out.lp_full_builds += policy.incremental_lp_stats().full_builds;
   }
   const obs::MetricsSnapshot snap = obs::registry().snapshot();
   if (const obs::HistogramSnapshot* h =
@@ -110,10 +103,6 @@ void print_run(const EngineRun& r) {
             << r.slots << " slots, total " << r.total_ms
             << " ms)  reward=" << r.reward << " completed=" << r.completed
             << " drops=" << r.drops;
-  if (r.lp_delta_builds + r.lp_full_builds > 0) {
-    std::cout << "  lp full/delta=" << r.lp_full_builds << "/"
-              << r.lp_delta_builds;
-  }
   if (r.shard_imbalance > 0.0) {
     std::cout << "  imbalance=" << r.shard_imbalance;
   }
@@ -131,8 +120,6 @@ void write_run(util::JsonWriter& w, const EngineRun& r) {
   w.field("reward", r.reward);
   w.field("completed", r.completed);
   w.field("drops", r.drops);
-  w.field("lp_full_builds", static_cast<double>(r.lp_full_builds));
-  w.field("lp_delta_builds", static_cast<double>(r.lp_delta_builds));
   w.field("shard_imbalance", r.shard_imbalance);
   w.end_object();
 }
@@ -170,15 +157,11 @@ int main(int argc, char** argv) {
               << " slots, " << shards << " shards, " << seeds << " seed(s)\n";
     const exp::Instance inst = exp::make_instance(1u, config);
 
-    const EngineRun legacy =
-        run_engine(inst, horizon, -1, false, seeds, "legacy");
+    const EngineRun legacy = run_engine(inst, horizon, -1, seeds, "legacy");
     const EngineRun sharded =
-        run_engine(inst, horizon, shards, false, seeds, "sharded");
-    const EngineRun incremental =
-        run_engine(inst, horizon, shards, true, seeds, "incremental");
+        run_engine(inst, horizon, shards, seeds, "sharded");
     print_run(legacy);
     print_run(sharded);
-    print_run(incremental);
 
     int failures = 0;
     // Bit-identity: same policy settings -> the shard engine must
@@ -206,15 +189,10 @@ int main(int argc, char** argv) {
                   << ", expected " << horizon * seeds << ")\n";
       }
     }
-    if (incremental.completed <= 0.0) {
-      ++failures;
-      std::cerr << "FAIL: the incremental run completed no sessions\n";
-    }
 
 #if MECAR_TELEMETRY_ENABLED
-    const double steady = std::min(sharded.p50, incremental.p50);
-    const double speedup = steady > 0.0 ? legacy.p50 / steady : 0.0;
-    std::cout << "steady-state slot speedup (legacy p50 / best sharded p50): "
+    const double speedup = sharded.p50 > 0.0 ? legacy.p50 / sharded.p50 : 0.0;
+    std::cout << "steady-state slot speedup (legacy p50 / sharded p50): "
               << speedup << "x (floor " << min_speedup << "x)\n";
     if (smoke && speedup < min_speedup) {
       ++failures;
@@ -243,7 +221,6 @@ int main(int argc, char** argv) {
       w.key("engines").begin_object();
       write_run(w, legacy);
       write_run(w, sharded);
-      write_run(w, incremental);
       w.end_object();
       w.field("steady_state_speedup", speedup);
       w.end_object();

@@ -166,7 +166,7 @@ MetricMap online_trial_metrics(const ScenarioSpec& spec,
 // tasks' rewards, and an optional mid-sim SimSnapshot.
 
 constexpr std::uint32_t kCkptMagic = 0x4b43524dU;  // "MRCK"
-constexpr std::uint32_t kCkptVersion = 1;
+constexpr std::uint32_t kCkptVersion = 2;
 
 struct CkptFingerprint {
   std::string name;

@@ -334,9 +334,6 @@ ScenarioSpec read_scenario(std::istream& is) {
       want_args(1);
       spec.shards = int_arg(0, "shards");
       if (spec.shards < -1) throw fail("shards must be >= -1");
-    } else if (key == "incremental_lp") {
-      want_args(1);
-      spec.rr.incremental_lp = bool_arg(0, "incremental_lp");
     } else {
       throw fail("unknown key '" + key + "'");
     }
@@ -451,7 +448,6 @@ void write_scenario(const ScenarioSpec& spec, std::ostream& os) {
   if (spec.shards != defaults.shards) {
     os << "shards " << spec.shards << '\n';
   }
-  if (spec.rr.incremental_lp) os << "incremental_lp true\n";
 }
 
 }  // namespace mecar::exp

@@ -50,9 +50,6 @@
 //                                   #   feasible iterate (kDeadline)
 //   shards 4                        # sharded slot loop (bit-identical);
 //                                   #   0 = MECAR_SHARDS env, -1 = legacy
-//   incremental_lp true             # delta-build the slot LP-PT across
-//                                   #   slots (objective-equal, tie-breaks
-//                                   #   may differ from scratch builds)
 #pragma once
 
 #include <iosfwd>

@@ -14,7 +14,6 @@ int Model::add_variable(std::string name, double objective, double upper,
   }
   vars_.push_back(Variable{std::move(name), objective, upper, integral});
   fixed_values_.push_back(std::numeric_limits<double>::quiet_NaN());
-  col_rows_.emplace_back();
   return static_cast<int>(vars_.size()) - 1;
 }
 
@@ -44,75 +43,8 @@ int Model::add_constraint(std::string name, Sense sense, double rhs,
   row.sense = sense;
   row.rhs = rhs;
   row.terms = std::move(terms);
-  const int row_index = static_cast<int>(rows_.size());
-  for (const Term& t : row.terms) {
-    col_rows_[static_cast<std::size_t>(t.col)].push_back(row_index);
-  }
   rows_.push_back(std::move(row));
-  return row_index;
-}
-
-int Model::add_column(std::string name, double objective, double upper,
-                      const std::vector<ColumnEntry>& entries) {
-  std::map<int, double> merged;
-  for (const ColumnEntry& e : entries) {
-    if (e.row < 0 || e.row >= num_constraints()) {
-      throw std::out_of_range("Model::add_column: entry references unknown row");
-    }
-    merged[e.row] += e.coeff;
-  }
-  const int col = add_variable(std::move(name), objective, upper);
-  for (const auto& [row, coeff] : merged) {
-    if (coeff == 0.0) continue;
-    // The new column index is larger than every existing one, so appending
-    // keeps each row's terms sorted by column.
-    rows_[static_cast<std::size_t>(row)].terms.push_back(Term{col, coeff});
-    col_rows_[static_cast<std::size_t>(col)].push_back(row);
-  }
-  return col;
-}
-
-void Model::remove_column(int col) {
-  if (col < 0 || col >= num_variables()) {
-    throw std::out_of_range("Model::remove_column: unknown column");
-  }
-  for (int r : col_rows_[static_cast<std::size_t>(col)]) {
-    auto& terms = rows_[static_cast<std::size_t>(r)].terms;
-    for (std::size_t k = 0; k < terms.size(); ++k) {
-      if (terms[k].col == col) {
-        terms.erase(terms.begin() + static_cast<std::ptrdiff_t>(k));
-        break;
-      }
-    }
-  }
-  col_rows_[static_cast<std::size_t>(col)].clear();
-  vars_[static_cast<std::size_t>(col)].objective = 0.0;
-  vars_[static_cast<std::size_t>(col)].upper = 0.0;
-  vars_[static_cast<std::size_t>(col)].integral = false;
-}
-
-void Model::update_bound(int col, double upper) {
-  if (col < 0 || col >= num_variables()) {
-    throw std::out_of_range("Model::update_bound: unknown column");
-  }
-  if (upper < 0.0) {
-    throw std::invalid_argument("Model::update_bound: upper bound below zero");
-  }
-  vars_[static_cast<std::size_t>(col)].upper = upper;
-}
-
-void Model::update_objective(int col, double objective) {
-  if (col < 0 || col >= num_variables()) {
-    throw std::out_of_range("Model::update_objective: unknown column");
-  }
-  vars_[static_cast<std::size_t>(col)].objective = objective;
-}
-
-void Model::update_rhs(int row, double rhs) {
-  if (row < 0 || row >= num_constraints()) {
-    throw std::out_of_range("Model::update_rhs: unknown row");
-  }
-  rows_[static_cast<std::size_t>(row)].rhs = rhs;
+  return static_cast<int>(rows_.size()) - 1;
 }
 
 bool Model::has_integrality() const noexcept {
@@ -176,7 +108,6 @@ Model Model::with_fixed(int col, double value) const {
       }
     }
   }
-  out.col_rows_[static_cast<std::size_t>(col)].clear();
   return out;
 }
 

@@ -63,14 +63,6 @@ struct RevisedSimplexOptions {
   /// Poison EVERY entering-column FTRAN: a persistent fault that forces
   /// the ladder all the way to the dense cross-solve rung.
   bool inject_nan_every_pivot = false;
-  /// Opt-in warm-basis repair across tableau-shape changes (see
-  /// WarmStartBasis::model_cols). OFF by default: a repaired start reaches
-  /// the same optimum through a different pivot path, and vertex
-  /// tie-breaks may differ from the cold start a shape change used to
-  /// force — callers that must stay bit-identical to historical runs
-  /// (the golden suite) keep the cold-start behavior unless they opted
-  /// into the incremental-LP pipeline.
-  bool repair_warm_basis = false;
 };
 
 /// Optimal basis exported by one solve and fed to the next. The slot LPs of
@@ -87,13 +79,6 @@ struct WarmStartBasis {
   /// Entries for basic columns are ignored. Empty means "all at lower"
   /// (the pre-bounded-variable export format).
   std::vector<char> at_upper;
-  /// Model-column index behind each structural tableau column at export
-  /// time (a snapshot of the engine's live-column map). When the next
-  /// model mutated columns through the Model incremental API — so the
-  /// tableau dimensions no longer match — this lets the solver remap the
-  /// basis onto the new layout (warm-basis repair) instead of discarding
-  /// it. Empty disables repair (the pre-incremental export format).
-  std::vector<int> model_cols;
 
   bool empty() const noexcept { return basis.empty(); }
   void clear() {
@@ -101,7 +86,6 @@ struct WarmStartBasis {
     total_cols = 0;
     basis.clear();
     at_upper.clear();
-    model_cols.clear();
   }
 };
 

@@ -25,15 +25,6 @@ Metrics make_metrics() {
   m.lp_numerical_errors = reg.counter(
       "lp.numerical_errors",
       "solves that exhausted the recovery ladder without an answer");
-  m.lp_incremental_reuses = reg.counter(
-      "lp.incremental_reuses",
-      "slot LPs served unchanged from the incremental cache");
-  m.lp_incremental_deltas = reg.counter(
-      "lp.incremental_deltas",
-      "slot LPs updated in place by column/row deltas");
-  m.lp_incremental_rebuilds = reg.counter(
-      "lp.incremental_rebuilds",
-      "slot LPs rebuilt from scratch (cache miss or compaction)");
   m.lp_pivots_per_solve = reg.histogram(
       "lp.pivots_per_solve",
       {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0},

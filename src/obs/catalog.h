@@ -23,9 +23,6 @@ struct Metrics {
   Counter lp_slot_models;        // lp.slot_models
   Counter lp_recoveries;         // lp.recoveries
   Counter lp_numerical_errors;   // lp.numerical_errors
-  Counter lp_incremental_reuses;    // lp.incremental_reuses
-  Counter lp_incremental_deltas;    // lp.incremental_deltas
-  Counter lp_incremental_rebuilds;  // lp.incremental_rebuilds
   Histogram lp_pivots_per_solve;  // lp.pivots_per_solve
   Histogram lp_eta_len;           // lp.eta_len
   Gauge lp_pricing_mode;          // lp.pricing_mode

@@ -23,7 +23,6 @@
 #include "bandit/lipschitz.h"
 #include "bandit/successive_elimination.h"
 #include "bandit/zooming.h"
-#include "core/incremental_slot_lp.h"
 #include "lp/revised_simplex.h"
 #include "sim/online_sim.h"
 #include "util/rng.h"
@@ -85,15 +84,6 @@ struct DynamicRrParams {
   /// Non-deterministic by nature — keep it 0 in reproducible experiments
   /// and let lp_pivot_budget bound the work instead.
   double lp_deadline_ms = 0.0;
-  /// Build the per-slot LP-PT through core::IncrementalSlotLp: consecutive
-  /// slots mutate the previous slot's model (column deltas for batch churn)
-  /// instead of rebuilding every ER_jil column, and the solver repairs the
-  /// carried basis across the shape change. The optimum is the same but
-  /// column order — and therefore rounding tie-breaks — may differ from the
-  /// scratch builder, so this is opt-in and OFF by default to keep golden
-  /// outputs bit-identical. Chaos runs (overlay topologies mutate in place)
-  /// fall back to the scratch builder automatically.
-  bool incremental_lp = false;
 };
 
 /// Graceful-degradation accounting of one DynamicRrPolicy instance: how
@@ -150,11 +140,11 @@ class DynamicRrPolicy final : public OnlinePolicy {
 
   /// Checkpoint support (sim/checkpoint.h): every mutable field that can
   /// influence a future decision — learner posteriors, the open reward
-  /// window, the warm-start basis and the incremental model (vertex
-  /// selection under degeneracy depends on both), degradation counters —
-  /// round-trips so a resumed run decides bit-identically. Configuration
-  /// (params_, grid_) is reconstructed by the caller, not serialized;
-  /// load_state expects a policy built with the original arguments.
+  /// window, the warm-start basis (vertex selection under degeneracy
+  /// depends on it), degradation counters — round-trips so a resumed run
+  /// decides bit-identically. Configuration (params_, grid_) is
+  /// reconstructed by the caller, not serialized; load_state expects a
+  /// policy built with the original arguments.
   void save_state(util::SnapshotWriter& w) const override;
   void load_state(util::SnapshotReader& r) override;
 
@@ -165,9 +155,6 @@ class DynamicRrPolicy final : public OnlinePolicy {
   double last_threshold_mhz() const noexcept { return last_threshold_; }
   const DegradationStats& degradation_stats() const noexcept {
     return degradation_;
-  }
-  const core::IncrementalSlotLp::Stats& incremental_lp_stats() const noexcept {
-    return incremental_.stats();
   }
 
  private:
@@ -192,8 +179,6 @@ class DynamicRrPolicy final : public OnlinePolicy {
   /// LP-PT basis carried across slots (warm starts). The solver itself is
   /// built per call: scripted solver faults vary its options slot to slot.
   lp::WarmStartBasis warm_basis_;
-  /// Delta-maintained LP-PT model (only touched when params_.incremental_lp).
-  core::IncrementalSlotLp incremental_;
   bandit::LipschitzGrid grid_;
   std::unique_ptr<bandit::Bandit> discrete_;  // null when zooming
   std::unique_ptr<bandit::ZoomingBandit> zoom_;

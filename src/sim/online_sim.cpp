@@ -114,13 +114,9 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
   std::vector<mec::ARRequest> requests = requests_;
   std::vector<double> min_latency = min_latency_ms_;
 
-  // Fault machinery. The legacy `outages` list merges into the plan; when
-  // the merged plan is empty the whole chaos path is skipped and the run
-  // is bit-identical to the pre-fault-engine simulator.
-  FaultPlan plan = params_.faults;
-  plan.station_outages.insert(plan.station_outages.end(),
-                              params_.outages.begin(),
-                              params_.outages.end());
+  // Fault machinery. When the plan is empty the whole chaos path is
+  // skipped and the run is bit-identical to the pre-fault-engine simulator.
+  const FaultPlan& plan = params_.faults;
   const bool chaos = !plan.empty();
   if (chaos) plan.validate(topo_);
   std::optional<mec::TopologyOverlay> overlay;

@@ -49,11 +49,9 @@ struct OnlineParams {
   /// Slot length: 0.05 s (section VI-A).
   double slot_ms = 50.0;
   core::AlgorithmParams alg;
-  /// Failure injection (empty = no outages). Kept as the simple legacy
-  /// interface; merged into `faults` at run time.
-  std::vector<StationOutage> outages;
-  /// Full fault scenario: brownouts, link outages/degradations, scripted
-  /// or chaos-generated (see sim/fault_plan.h).
+  /// Fault scenario (empty = healthy network): station outages,
+  /// brownouts, link outages/degradations, scripted or chaos-generated
+  /// (see sim/fault_plan.h).
   FaultPlan faults;
   /// User mobility (empty = static users).
   std::vector<MobilityEvent> mobility;

@@ -167,10 +167,7 @@ OnlineMetrics ShardEngine::run(OnlinePolicy& policy, SlotHook* hook,
   const std::size_t num_requests = requests_.size();
 
   // Fault machinery — identical to the legacy loop (online_sim.cpp).
-  FaultPlan plan = params_.faults;
-  plan.station_outages.insert(plan.station_outages.end(),
-                              params_.outages.begin(),
-                              params_.outages.end());
+  const FaultPlan& plan = params_.faults;
   const bool chaos = !plan.empty();
   if (chaos) plan.validate(topo_);
   std::optional<mec::TopologyOverlay> overlay;

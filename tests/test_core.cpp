@@ -12,7 +12,6 @@
 
 #include "core/appro.h"
 #include "core/exact.h"
-#include "core/incremental_slot_lp.h"
 #include "core/heu.h"
 #include "core/rounding.h"
 #include "core/slot_lp.h"
@@ -713,224 +712,6 @@ TEST(CrossCheck, IlpAndLpAgreeOnScale) {
 
   // Lemma 1: the slot LP relaxes the ILP, so LPOpt >= Opt.
   EXPECT_GE(lp_res.objective, ilp_res.objective - 1e-6);
-}
-
-// --- IncrementalSlotLp: delta builds vs scratch builds -------------------
-
-class IncrementalSlotLpObjective : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(IncrementalSlotLpObjective, MatchesScratchAcrossBatchChurn) {
-  // Drive the incremental builder through a churn sequence (drop entries,
-  // re-add entries, grow waiting) and require the optimum of the mutated
-  // model to equal a scratch build at every step.
-  util::Rng rng(GetParam());
-  mec::TopologyParams tparams;
-  tparams.num_stations = 8;
-  const mec::Topology topo = mec::generate_topology(tparams, rng);
-  mec::WorkloadParams wparams;
-  wparams.num_requests = 30;
-  const auto all = mec::generate_requests(wparams, topo, rng);
-  AlgorithmParams params;
-
-  IncrementalSlotLp inc;
-  SlotLpOptions options;
-  options.share_cap_mhz = 800.0;
-  for (int step = 0; step < 6; ++step) {
-    // Rolling window over the request pool: each step drops a few entries
-    // from the front and admits a few at the back, like a slot batch.
-    std::vector<mec::ARRequest> batch;
-    options.waiting_ms_per_request.clear();
-    for (int k = step * 3; k < step * 3 + 12; ++k) {
-      batch.push_back(all[static_cast<std::size_t>(k)]);
-      options.waiting_ms_per_request.push_back(5.0 *
-                                               static_cast<double>(step));
-    }
-    const SlotLpInstance& got = inc.build(topo, batch, params, options);
-    const SlotLpInstance want = build_slot_lp(topo, batch, params, options);
-    const auto got_res = lp::solve_lp(got.model);
-    const auto want_res = lp::solve_lp(want.model);
-    ASSERT_TRUE(want_res.optimal()) << "step " << step;
-    ASSERT_TRUE(got_res.optimal()) << "step " << step;
-    EXPECT_NEAR(want_res.objective, got_res.objective,
-                1e-7 * std::max(1.0, want_res.objective))
-        << "step " << step;
-    // The per-batch metadata must address the current batch.
-    ASSERT_EQ(got.request_columns.size(), batch.size());
-    for (std::size_t b = 0; b < batch.size(); ++b) {
-      for (int col : got.request_columns[b]) {
-        EXPECT_EQ(got.vars[static_cast<std::size_t>(col)].request_index,
-                  static_cast<int>(b));
-      }
-    }
-  }
-  EXPECT_EQ(inc.stats().full_builds, 1)
-      << "churn within stable capacities must stay on the delta path";
-  EXPECT_GE(inc.stats().delta_builds, 5);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSlotLpObjective,
-                         ::testing::Values(3u, 17u, 91u));
-
-TEST(IncrementalSlotLp, ReusesUnchangedBatchAndRebuildsOnCapacityChange) {
-  util::Rng rng(5);
-  mec::TopologyParams tparams;
-  tparams.num_stations = 6;
-  const mec::Topology topo = mec::generate_topology(tparams, rng);
-  mec::WorkloadParams wparams;
-  wparams.num_requests = 10;
-  const auto requests = mec::generate_requests(wparams, topo, rng);
-  AlgorithmParams params;
-
-  IncrementalSlotLp inc;
-  SlotLpOptions options;
-  (void)inc.build(topo, requests, params, options);
-  EXPECT_EQ(inc.stats().full_builds, 1);
-  (void)inc.build(topo, requests, params, options);
-  EXPECT_EQ(inc.stats().reuses, 1) << "identical inputs must not mutate";
-
-  // Residual capacities moved: the whole coefficient set is stale.
-  options.capacity_override_mhz.assign(
-      static_cast<std::size_t>(topo.num_stations()), 900.0);
-  const SlotLpInstance& got = inc.build(topo, requests, params, options);
-  EXPECT_EQ(inc.stats().full_builds, 2);
-  const SlotLpInstance want = build_slot_lp(topo, requests, params, options);
-  const auto got_res = lp::solve_lp(got.model);
-  const auto want_res = lp::solve_lp(want.model);
-  ASSERT_TRUE(got_res.optimal());
-  ASSERT_TRUE(want_res.optimal());
-  EXPECT_NEAR(got_res.objective, want_res.objective, 1e-9);
-
-  // Batch order shuffles (density re-sort) without membership change stay
-  // on the reuse path but re-point the metadata.
-  std::vector<mec::ARRequest> reversed(requests.rbegin(), requests.rend());
-  const SlotLpInstance& rev = inc.build(topo, reversed, params, options);
-  EXPECT_EQ(inc.stats().full_builds, 2);
-  for (std::size_t b = 0; b < reversed.size(); ++b) {
-    for (int col : rev.request_columns[b]) {
-      EXPECT_EQ(rev.vars[static_cast<std::size_t>(col)].request_index,
-                static_cast<int>(b));
-    }
-  }
-}
-
-TEST(IncrementalSlotLp, CapacityChurnPreservingSlotCountsStaysOnDeltaPath) {
-  // Residual-capacity churn is the every-slot case in an online run:
-  // residents come and go, so capacity_override_mhz moves a little each
-  // slot while per-station slot counts stay put. That churn must be
-  // reconciled in place (objective/bound updates, delta_builds) — a full
-  // rebuild per slot would throw away the warm-basis win the incremental
-  // path exists for.
-  util::Rng rng(13);
-  mec::TopologyParams tparams;
-  tparams.num_stations = 6;
-  const mec::Topology topo = mec::generate_topology(tparams, rng);
-  mec::WorkloadParams wparams;
-  wparams.num_requests = 12;
-  const auto requests = mec::generate_requests(wparams, topo, rng);
-  AlgorithmParams params;  // slot_capacity_mhz = 1000
-
-  IncrementalSlotLp inc;
-  SlotLpOptions options;
-  // All overrides below sit in [650, 980] MHz: every station keeps slot
-  // count max(1, floor(cap / 1000)) == 1, and with c_unit = 20 the level-0
-  // rate cap (cap / 20 in [32.5, 49]) lands INSIDE the [30, 50] MB/s
-  // demand support, so moving the override actually moves column
-  // objectives (a cap above 1000 would truncate nothing and the build
-  // would legitimately count as a reuse).
-  options.capacity_override_mhz.assign(
-      static_cast<std::size_t>(topo.num_stations()), 800.0);
-  (void)inc.build(topo, requests, params, options);
-  ASSERT_EQ(inc.stats().full_builds, 1);
-
-  for (int step = 1; step <= 4; ++step) {
-    for (std::size_t bs = 0; bs < options.capacity_override_mhz.size(); ++bs) {
-      options.capacity_override_mhz[bs] =
-          800.0 + 30.0 * static_cast<double>(step % 2 == 0 ? step : -step) +
-          10.0 * static_cast<double>(bs % 3);
-    }
-    const SlotLpInstance& got = inc.build(topo, requests, params, options);
-    EXPECT_EQ(inc.stats().full_builds, 1)
-        << "step " << step << ": slot-count-preserving churn forced a rebuild";
-    const SlotLpInstance want = build_slot_lp(topo, requests, params, options);
-    const auto got_res = lp::solve_lp(got.model);
-    const auto want_res = lp::solve_lp(want.model);
-    ASSERT_TRUE(got_res.optimal()) << "step " << step;
-    ASSERT_TRUE(want_res.optimal()) << "step " << step;
-    EXPECT_NEAR(got_res.objective, want_res.objective,
-                1e-7 * std::max(1.0, want_res.objective))
-        << "step " << step;
-  }
-  EXPECT_GE(inc.stats().delta_builds, 4)
-      << "override churn must be counted as delta builds";
-
-  // Crossing a slot-count boundary is the documented full-rebuild case.
-  options.capacity_override_mhz.assign(
-      static_cast<std::size_t>(topo.num_stations()), 3400.0);
-  (void)inc.build(topo, requests, params, options);
-  EXPECT_EQ(inc.stats().full_builds, 2);
-}
-
-TEST(IncrementalSlotLp, HandoverReplacesTheOldHomesColumns) {
-  // A handover keeps the request id and, with every station in budget and
-  // a candidate limit, the candidate count: only the stations change. The
-  // builder must not reuse the columns placed around the old home.
-  util::Rng rng(5);
-  mec::TopologyParams tparams;
-  tparams.num_stations = 60;
-  const mec::Topology topo = mec::generate_topology(tparams, rng);
-  std::vector<mec::ARRequest> batch{make_request(7, 0, 30, 50, 400, 500)};
-  batch[0].latency_budget_ms = 1000.0;
-  AlgorithmParams params;
-  params.max_candidate_stations = 3;
-  const SlotLpOptions options;
-
-  IncrementalSlotLp inc;
-  (void)inc.build(topo, batch, params, options);
-  batch[0].home_station = 59;
-  const SlotLpInstance& got = inc.build(topo, batch, params, options);
-  const SlotLpInstance want = build_slot_lp(topo, batch, params, options);
-  EXPECT_EQ(inc.stats().reuses, 0);
-  EXPECT_EQ(inc.stats().delta_builds, 1);
-  ASSERT_EQ(got.request_columns[0].size(), want.request_columns[0].size());
-  for (std::size_t i = 0; i < want.request_columns[0].size(); ++i) {
-    const SlotVar& g =
-        got.vars[static_cast<std::size_t>(got.request_columns[0][i])];
-    const SlotVar& w =
-        want.vars[static_cast<std::size_t>(want.request_columns[0][i])];
-    EXPECT_EQ(g.station, w.station) << i;
-    EXPECT_EQ(g.latency_ms, w.latency_ms) << i;
-  }
-}
-
-TEST(IncrementalSlotLp, GhostEntrySharingAnIdForcesNewColumns) {
-  // A displaced stream re-enters the batch under its own id but with a
-  // degenerate demand and an unbounded budget; the signature must not
-  // confuse it with the original request's columns.
-  util::Rng rng(9);
-  mec::TopologyParams tparams;
-  tparams.num_stations = 6;
-  const mec::Topology topo = mec::generate_topology(tparams, rng);
-  mec::WorkloadParams wparams;
-  wparams.num_requests = 8;
-  auto requests = mec::generate_requests(wparams, topo, rng);
-  AlgorithmParams params;
-
-  IncrementalSlotLp inc;
-  SlotLpOptions options;
-  (void)inc.build(topo, requests, params, options);
-
-  std::vector<mec::ARRequest> ghosts = requests;
-  ghosts[0].demand = mec::RateRewardDist({{2.0, 1.0, 7.5}});
-  ghosts[0].latency_budget_ms = 1e9;
-  const SlotLpInstance& got = inc.build(topo, ghosts, params, options);
-  EXPECT_GE(inc.stats().delta_builds, 1);
-  const SlotLpInstance want = build_slot_lp(topo, ghosts, params, options);
-  const auto got_res = lp::solve_lp(got.model);
-  const auto want_res = lp::solve_lp(want.model);
-  ASSERT_TRUE(got_res.optimal());
-  ASSERT_TRUE(want_res.optimal());
-  EXPECT_NEAR(got_res.objective, want_res.objective,
-              1e-7 * std::max(1.0, want_res.objective));
 }
 
 }  // namespace

@@ -59,7 +59,8 @@ TEST(FailureInjection, OutageDisplacesAndFailoverCompletes) {
   std::vector<mec::ARRequest> requests{stream(0, 50.0, 0, 6)};
   OnlineParams params;
   params.horizon_slots = 30;
-  params.outages = {{0, 2, 10}};  // station 0 down in slots [2, 10)
+  // Station 0 down in slots [2, 10).
+  params.faults.station_outages = {{0, 2, 10}};
   OnlineSimulator sim(topo, requests, {0}, params);
   Station0Policy policy;
   const auto m = sim.run(policy);
@@ -73,7 +74,8 @@ TEST(FailureInjection, PlacementOntoFailedStationIsRefused) {
   std::vector<mec::ARRequest> requests{stream(0, 50.0, 0, 2)};
   OnlineParams params;
   params.horizon_slots = 10;
-  params.outages = {{0, 0, 10}};  // station 0 down the whole time
+  // Station 0 down the whole time.
+  params.faults.station_outages = {{0, 0, 10}};
 
   class InsistPolicy final : public OnlinePolicy {
    public:
@@ -111,7 +113,7 @@ TEST(FailureInjection, DisplacementPreservesProgress) {
   std::vector<mec::ARRequest> requests{stream(0, 50.0, 0, 6)};
   OnlineParams params;
   params.horizon_slots = 30;
-  params.outages = {{0, 3, 30}};
+  params.faults.station_outages = {{0, 3, 30}};
   OnlineSimulator sim(topo, requests, {0}, params);
   Station0Policy policy;
   const auto m = sim.run(policy);
@@ -133,7 +135,7 @@ TEST(FailureInjection, OverlappingOutagesDisplaceOnlyOnce) {
   std::vector<mec::ARRequest> requests{stream(0, 50.0, 0, 6)};
   OnlineParams params;
   params.horizon_slots = 30;
-  params.outages = {{0, 2, 10}, {0, 5, 15}};
+  params.faults.station_outages = {{0, 2, 10}, {0, 5, 15}};
   OnlineSimulator sim(topo, requests, {0}, params);
   Station0Policy policy;
   const auto m = sim.run(policy);
@@ -151,7 +153,7 @@ TEST(FailureInjection, ZeroLengthOutageWindowIsANoop) {
   const auto run = [&](std::vector<StationOutage> outages) {
     OnlineParams params;
     params.horizon_slots = 20;
-    params.outages = std::move(outages);
+    params.faults.station_outages = std::move(outages);
     OnlineSimulator sim(topo, requests, {0}, params);
     Station0Policy policy;
     return sim.run(policy);
@@ -172,7 +174,7 @@ TEST(FailureInjection, OutageFromSlotZeroDelaysButDoesNotDisplace) {
   std::vector<mec::ARRequest> requests{stream(0, 50.0, 0, 4)};
   OnlineParams params;
   params.horizon_slots = 20;
-  params.outages = {{0, 0, 3}};
+  params.faults.station_outages = {{0, 0, 3}};
   OnlineSimulator sim(topo, requests, {0}, params);
   Station0Policy policy;
   const auto m = sim.run(policy);
@@ -192,7 +194,8 @@ TEST(FailureInjection, HomeStationOutageDoesNotDisplaceWaitingRequest) {
   std::vector<mec::ARRequest> requests{stream(0, 50.0, 0, 4)};
   OnlineParams params;
   params.horizon_slots = 20;
-  params.outages = {{0, 0, 20}};  // home station down the whole horizon
+  // Home station down the whole horizon.
+  params.faults.station_outages = {{0, 0, 20}};
 
   class RemotePolicy final : public OnlinePolicy {
    public:
@@ -232,7 +235,7 @@ TEST_P(OutageSweep, PoliciesSurviveOutages) {
   const auto realized = core::realize_demand_levels(requests, rng);
   OnlineParams params;
   params.horizon_slots = 300;
-  params.outages = {{0, 100, 200}, {1, 120, 180}};
+  params.faults.station_outages = {{0, 100, 200}, {1, 120, 180}};
 
   std::unique_ptr<OnlinePolicy> policy;
   switch (GetParam()) {
@@ -305,7 +308,7 @@ TEST(FailureInjection, OutageReducesButDoesNotZeroReward) {
   auto run = [&](std::vector<StationOutage> outages) {
     OnlineParams params;
     params.horizon_slots = 400;
-    params.outages = std::move(outages);
+    params.faults.station_outages = std::move(outages);
     DynamicRrPolicy policy(topo, core::AlgorithmParams{}, DynamicRrParams{},
                            util::Rng(38));
     OnlineSimulator sim(topo, requests, realized, params);

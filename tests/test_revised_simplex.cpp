@@ -265,71 +265,6 @@ TEST(WarmStart, AfterRecoveryMatchesColdBitForBit) {
   EXPECT_EQ(after.x, cold.x);
 }
 
-TEST(WarmStart, RepairsBasisAcrossIncrementalMutation) {
-  // Solve, mutate the model through the incremental API (remove a column,
-  // append a column and a <= row), solve again with the carried basis: the
-  // repair path must remap the old basis onto the new tableau instead of
-  // discarding it, and land on the same optimum as a cold solve.
-  Model m;
-  const int x = m.add_variable("x", 3.0, 4.0);
-  const int y = m.add_variable("y", 2.0, 4.0);
-  const int z = m.add_variable("z", 1.0, 4.0);
-  const int r0 = m.add_constraint("c0", Sense::kLe, 4.0,
-                                  {{x, 1.0}, {y, 1.0}});
-  m.add_constraint("c1", Sense::kLe, 3.0, {{y, 1.0}, {z, 1.0}});
-
-  RevisedSimplexOptions opt;
-  opt.repair_warm_basis = true;  // repair is opt-in (cold start otherwise)
-  RevisedSimplexSolver solver(opt);
-  WarmStartBasis warm;
-  const auto first = solver.solve(m, warm);
-  ASSERT_TRUE(first.optimal());
-  ASSERT_FALSE(warm.empty());
-  ASSERT_FALSE(warm.model_cols.empty());
-
-  m.remove_column(z);
-  const int w = m.add_column("w", 2.5, 4.0, {{r0, 1.0}});
-  m.add_constraint("c2", Sense::kLe, 2.0, {{w, 1.0}});
-
-  const auto cold = solver.solve(m);
-  const auto repaired = solver.solve(m, warm);
-  ASSERT_TRUE(cold.optimal());
-  ASSERT_TRUE(repaired.optimal());
-  EXPECT_TRUE(repaired.stats.warm_start_attempted);
-  EXPECT_TRUE(repaired.stats.warm_start_repaired);
-  EXPECT_NEAR(cold.objective, repaired.objective, kTol);
-  EXPECT_LE(m.max_violation(repaired.x), kTol);
-  EXPECT_NEAR(repaired.x[static_cast<std::size_t>(z)], 0.0, kTol);
-}
-
-TEST(WarmStart, RepairOnSlotLpDeltaSequence) {
-  // Slot-LP shaped repair: drop the columns of one "completed" request
-  // from a real slot model and re-solve with the carried basis. Objective
-  // must match a scratch solve of the mutated model.
-  const auto models = warm_slot_sequence(40, 1, 7);
-  Model m = models[0];
-  RevisedSimplexOptions opt;
-  opt.repair_warm_basis = true;  // repair is opt-in (cold start otherwise)
-  RevisedSimplexSolver solver(opt);
-  WarmStartBasis warm;
-  const auto first = solver.solve(m, warm);
-  ASSERT_TRUE(first.optimal());
-
-  // Strike every column of the first variable's request ("y_<id>_...").
-  const std::string prefix =
-      m.variable(0).name.substr(0, m.variable(0).name.find('_', 2) + 1);
-  for (int j = 0; j < m.num_variables(); ++j) {
-    if (m.variable(j).name.rfind(prefix, 0) == 0) m.remove_column(j);
-  }
-  const auto cold = solver.solve(m);
-  const auto repaired = solver.solve(m, warm);
-  ASSERT_TRUE(cold.optimal());
-  ASSERT_TRUE(repaired.optimal());
-  EXPECT_NEAR(cold.objective, repaired.objective,
-              1e-6 * std::max(1.0, std::abs(cold.objective)));
-  EXPECT_LE(m.max_violation(repaired.x), 1e-6);
-}
-
 TEST(SolveStats, CountsPhasesAndRefactorizations) {
   // An equality row forces artificials, so phase 1 must do work.
   Model m;

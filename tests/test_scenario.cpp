@@ -3,6 +3,8 @@
 // runner's sweep to the hand-written per-seed loop the figure benches used
 // before the refactor.
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -14,8 +16,10 @@
 #include "exp/registry.h"
 #include "exp/runner.h"
 #include "exp/scenario.h"
+#include "sim/checkpoint.h"
 #include "sim/online_sim.h"
 #include "util/json_writer.h"
+#include "util/snapshot.h"
 #include "util/stats.h"
 
 namespace {
@@ -106,7 +110,7 @@ TEST(Scenario, WriteReadRoundTrip) {
   EXPECT_DOUBLE_EQ(back.requests_per_slot, spec.requests_per_slot);
 }
 
-TEST(Scenario, ShardsAndIncrementalLpRoundTrip) {
+TEST(Scenario, ShardsRoundTrip) {
   exp::ScenarioSpec spec;
   spec.name = "sharded";
   spec.axis = exp::SweepAxis::kRequests;
@@ -114,23 +118,18 @@ TEST(Scenario, ShardsAndIncrementalLpRoundTrip) {
   spec.policies = {{"DynamicRR", ""}};
   spec.metrics = {"reward"};
   spec.shards = 4;
-  spec.rr.incremental_lp = true;
   std::stringstream text;
   exp::write_scenario(spec, text);
   EXPECT_NE(text.str().find("shards 4"), std::string::npos);
-  EXPECT_NE(text.str().find("incremental_lp true"), std::string::npos);
   const exp::ScenarioSpec back = exp::read_scenario(text);
   EXPECT_EQ(back.shards, 4);
-  EXPECT_TRUE(back.rr.incremental_lp);
 
   // Defaults are omitted on write and the legacy force (-1) round-trips.
   exp::ScenarioSpec plain = spec;
   plain.shards = 0;
-  plain.rr.incremental_lp = false;
   std::stringstream plain_text;
   exp::write_scenario(plain, plain_text);
   EXPECT_EQ(plain_text.str().find("shards"), std::string::npos);
-  EXPECT_EQ(plain_text.str().find("incremental_lp"), std::string::npos);
   spec.shards = -1;
   std::stringstream legacy_text;
   exp::write_scenario(spec, legacy_text);
@@ -138,6 +137,20 @@ TEST(Scenario, ShardsAndIncrementalLpRoundTrip) {
 
   std::istringstream bad("name x\nshards -2\n");
   EXPECT_THROW((void)exp::read_scenario(bad), exp::ScenarioParseError);
+}
+
+TEST(Scenario, IncrementalLpKeyIsRejected) {
+  // The delta-built slot LP is gone; a spec that still asks for it must
+  // fail loudly rather than silently run the scratch builder.
+  std::istringstream old_spec(
+      "name scale\nkind sweep\nshards 4\nincremental_lp true\n");
+  try {
+    (void)exp::read_scenario(old_spec);
+    FAIL() << "incremental_lp parsed";
+  } catch (const exp::ScenarioParseError& e) {
+    EXPECT_EQ(e.line(), 4);
+    EXPECT_NE(std::string(e.what()).find("incremental_lp"), std::string::npos);
+  }
 }
 
 TEST(Scenario, InfiniteBandwidthRoundTrips) {
@@ -305,6 +318,59 @@ TEST(Runner, RejectsBadSpecs) {
   spec.metrics = {"reward"};
   spec.policies = {{"DynamicRR", ""}};  // online with horizon 0
   EXPECT_THROW((void)exp::Runner(spec).run(), std::invalid_argument);
+}
+
+// A checkpoint written under an older frame layout (version 1, whose
+// DynamicRR policy blob still carried a delta-built slot-LP cache) must be
+// rejected on its version, not misread: resume logs the rejection, starts
+// fresh and produces the uninterrupted run's Report.
+TEST(Runner, StaleVersionCheckpointStartsFresh) {
+  exp::ScenarioSpec spec;
+  spec.name = "stale";
+  spec.axis = exp::SweepAxis::kRequests;
+  spec.points = {30};
+  spec.horizon = 60;
+  spec.policies = {{"DynamicRR", "DynamicRR"}};
+  spec.metrics = {"reward", "drops"};
+  const auto run = [&](const exp::CheckpointOptions& ckpt) {
+    exp::Runner runner(spec);
+    runner.set_seeds(2);
+    runner.set_checkpoint(ckpt);
+    util::SnapshotWriter w;
+    runner.run().save(w);
+    return w.finish(0, 0);
+  };
+  const auto fresh_store = [](const std::string& name) {
+    sim::CheckpointStore store(::testing::TempDir() + name);
+    for (const std::string& path : store.generations()) {
+      std::remove(path.c_str());
+    }
+    return store;
+  };
+  const std::vector<std::uint8_t> expected = run({});
+
+  // A genuine mid-run generation relabelled as version 1. The CRC covers
+  // the payload only, so the frame is sound in everything but its version.
+  const sim::CheckpointStore written = fresh_store("runner_stale_written");
+  (void)run({written.dir(), 20, false});
+  ASSERT_FALSE(written.generations().empty());
+  std::vector<std::uint8_t> frame =
+      sim::CheckpointStore::read_file(written.generations().back());
+  ASSERT_GE(frame.size(), 8u);
+  frame[4] = 1;  // version u32, little-endian
+  frame[5] = frame[6] = frame[7] = 0;
+  sim::CheckpointStore stale = fresh_store("runner_stale_v1");
+  stale.write(frame);
+  ASSERT_EQ(stale.generations().size(), 1u);
+
+  ::testing::internal::CaptureStderr();
+  const std::vector<std::uint8_t> resumed = run({stale.dir(), 20, true});
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("snapshot version 1 unsupported"), std::string::npos)
+      << log;
+  EXPECT_NE(log.find("starting fresh"), std::string::npos) << log;
+  EXPECT_EQ(log.find("resuming from"), std::string::npos) << log;
+  EXPECT_EQ(resumed, expected);
 }
 
 // ---- json writer ----------------------------------------------------------

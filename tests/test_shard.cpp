@@ -262,39 +262,5 @@ TEST(ShardEngine, EmptyShardsAreHarmless) {
   expect_identical(legacy, all, "Greedy/one-station-shards");
 }
 
-// The incremental slot-LP pipeline (DynamicRrParams::incremental_lp) is
-// objective-equal but not tie-break-identical to scratch builds, so it is
-// NOT covered by the bit-identity contract. It must still complete a
-// sharded run with sane accounting, actually exercise the delta path, and
-// stay engine-independent (sharded == legacy under the same settings).
-TEST(ShardEngine, IncrementalLpPipelineRunsSharded) {
-  // Arrivals land in the first 80 slots; the longer run horizon leaves a
-  // drain phase so sessions actually complete.
-  const exp::Instance inst = busy_instance(11u, 80);
-  OnlineParams params;
-  params.horizon_slots = 280;
-  DynamicRrParams rr;
-  rr.incremental_lp = true;
-  const auto run = [&](int num_shards) {
-    OnlineParams p = params;
-    p.num_shards = num_shards;
-    DynamicRrPolicy policy(inst.topo, core::AlgorithmParams{}, rr,
-                           util::Rng(7));
-    OnlineSimulator sim(inst.topo, inst.requests, inst.realized, p);
-    const OnlineMetrics m = sim.run(policy);
-    const core::IncrementalSlotLp::Stats& stats =
-        policy.incremental_lp_stats();
-    EXPECT_GT(stats.full_builds, 0);
-    EXPECT_GT(stats.full_builds + stats.reuses + stats.delta_builds, 1);
-    return m;
-  };
-  const OnlineMetrics legacy = run(-1);
-  const OnlineMetrics sharded = run(3);
-  expect_identical(legacy, sharded, "DynamicRR/incremental-lp");
-  EXPECT_EQ(legacy.completed + legacy.dropped + legacy.unfinished,
-            legacy.arrived);
-  EXPECT_GT(legacy.completed, 0);
-}
-
 }  // namespace
 }  // namespace mecar::sim

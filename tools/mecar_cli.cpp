@@ -1043,7 +1043,7 @@ int cmd_list(const util::Cli&) {
       "  threshold_range kappa scale_thresholds threshold_headroom\n"
       "  rounding_divisor backfill enforce_backhaul backhaul_audit\n"
       "  collect_detail requests_per_slot lp_max_iterations lp_budget\n"
-      "  shards incremental_lp\n";
+      "  shards\n";
   return 0;
 }
 
