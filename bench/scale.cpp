@@ -9,10 +9,10 @@
 //   sharded — the shard engine, same policy settings (must be
 //             bit-identical to legacy; verified here).
 //
-// Slot latency comes from the obs exporters: the sim.slot_wall_ms
-// histogram is reset before each run and its p50/p95/p99 are read back
-// from the registry snapshot, so the bench exercises the same telemetry
-// path `mecar_cli experiment --metrics-out` exports.
+// Slot latency is measured from outside the engine: a SlotHook stamps
+// the wall clock at every slot top, so each slot's sample is the span to
+// the next top (the last closes when run() returns), and p50/p95/p99 are
+// exact percentiles of those raw samples.
 //
 //   ./bench/scale [--smoke] [--stations=N] [--requests=N] [--horizon=T]
 //                 [--window=W] [--shards=K] [--seeds=S] [--min-speedup=X]
@@ -22,6 +22,7 @@
 // the sharded steady-state slot (p50) is at least --min-speedup times
 // faster than a legacy full-rebuild slot and the sharded run reproduced
 // the legacy metrics exactly. --snapshot writes BENCH_scale.json.
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -36,15 +37,42 @@
 #include "util/cli.h"
 #include "util/json_writer.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/timer.h"
 
 namespace {
 
 using namespace mecar;
 
+/// Wall time of every slot, stamped at each slot top: the engines ask a
+/// SlotHook at the top of every slot whether to snapshot, and this one
+/// never does.
+class SlotClock final : public sim::SlotHook {
+ public:
+  bool want_snapshot(int /*slot*/) override {
+    close_slot();
+    open_ = true;
+    return false;
+  }
+  void on_snapshot(int /*slot*/, sim::SimSnapshot /*snapshot*/) override {}
+
+  /// Ends the slot in progress (at the end of a run).
+  void close_slot() {
+    if (open_) samples_.push_back(timer_.elapsed_ms());
+    open_ = false;
+    timer_.restart();
+  }
+  const std::vector<double>& samples() const noexcept { return samples_; }
+
+ private:
+  util::Timer timer_;
+  bool open_ = false;
+  std::vector<double> samples_;
+};
+
 /// One engine configuration's outcome: headline simulator metrics (for
-/// the bit-identity check) plus the slot-latency percentiles read back
-/// from the obs registry.
+/// the bit-identity check) plus exact slot-latency percentiles over the
+/// raw per-slot samples.
 struct EngineRun {
   std::string label;
   double reward = 0.0;
@@ -63,9 +91,10 @@ EngineRun run_engine(const exp::Instance& inst, int horizon, int num_shards,
                      int seeds, std::string label) {
   EngineRun out;
   out.label = std::move(label);
-  // Pool the per-slot samples of every seed into one histogram so the
-  // percentiles describe the engine, not one lucky run.
+  // Pool the per-slot samples of every seed so the percentiles describe
+  // the engine, not one lucky run.
   obs::registry().reset();
+  SlotClock clock;
   for (int s = 0; s < seeds; ++s) {
     sim::OnlineParams params;
     params.horizon_slots = horizon;
@@ -76,21 +105,23 @@ EngineRun run_engine(const exp::Instance& inst, int horizon, int num_shards,
     sim::OnlineSimulator simulator(inst.topo, inst.requests, inst.realized,
                                    params);
     const util::Timer run_timer;
-    const sim::OnlineMetrics metrics = simulator.run(policy);
+    const sim::OnlineMetrics metrics = simulator.run(policy, &clock);
+    clock.close_slot();
     out.total_ms += run_timer.elapsed_ms();
     out.reward += metrics.total_reward;
     out.completed += static_cast<double>(metrics.completed);
     out.drops += static_cast<double>(metrics.dropped);
   }
-  const obs::MetricsSnapshot snap = obs::registry().snapshot();
-  if (const obs::HistogramSnapshot* h =
-          snap.find_histogram("sim.slot_wall_ms")) {
-    out.p50 = h->percentile(50.0);
-    out.p95 = h->percentile(95.0);
-    out.p99 = h->percentile(99.0);
-    out.max = h->max;
-    out.slots = static_cast<double>(h->count);
+  const std::vector<double>& samples = clock.samples();
+  out.slots = static_cast<double>(samples.size());
+  if (!samples.empty()) {
+    const util::PercentileSummary pct = util::percentile_summary(samples);
+    out.p50 = pct.p50;
+    out.p95 = pct.p95;
+    out.p99 = pct.p99;
+    out.max = *std::max_element(samples.begin(), samples.end());
   }
+  const obs::MetricsSnapshot snap = obs::registry().snapshot();
   if (const obs::GaugeSnapshot* g = snap.find_gauge("sim.shard_imbalance")) {
     out.shard_imbalance = g->value;
   }
@@ -180,17 +211,12 @@ int main(int argc, char** argv) {
     if (legacy.slots != sharded.slots ||
         legacy.slots !=
             static_cast<double>(horizon) * static_cast<double>(seeds)) {
-      // With telemetry compiled out both counts are 0 and this stays quiet
-      // only for the equal-slots half; the horizon check needs samples.
-      if (legacy.slots != 0.0 || sharded.slots != 0.0) {
-        ++failures;
-        std::cerr << "FAIL: slot histogram count mismatch (legacy "
-                  << legacy.slots << ", sharded " << sharded.slots
-                  << ", expected " << horizon * seeds << ")\n";
-      }
+      ++failures;
+      std::cerr << "FAIL: slot sample count mismatch (legacy " << legacy.slots
+                << ", sharded " << sharded.slots << ", expected "
+                << horizon * seeds << ")\n";
     }
 
-#if MECAR_TELEMETRY_ENABLED
     const double speedup = sharded.p50 > 0.0 ? legacy.p50 / sharded.p50 : 0.0;
     std::cout << "steady-state slot speedup (legacy p50 / sharded p50): "
               << speedup << "x (floor " << min_speedup << "x)\n";
@@ -199,11 +225,6 @@ int main(int argc, char** argv) {
       std::cerr << "FAIL: steady-state speedup " << speedup << "x below the "
                 << min_speedup << "x floor\n";
     }
-#else
-    const double speedup = 0.0;
-    std::cout << "telemetry compiled out: slot percentiles unavailable, "
-                 "skipping the speedup floor\n";
-#endif
 
     if (cli.has("snapshot")) {
       const std::string path = cli.get_or("snapshot", "").empty()

@@ -36,31 +36,39 @@ std::vector<CandidateStation> candidate_stations(const mec::Topology& topo,
                                                  const mec::ARRequest& req,
                                                  const AlgorithmParams& params,
                                                  double waiting_ms) {
-  // One pass over the stations. With a positive limit k, `kept` is a
-  // max-heap of at most k entries under `nearer`, and `worst` holds its
-  // front's latency once it is full: a station farther than that is
-  // rejected by one comparison.
+  // One walk over the home's stations in delay order. With a positive
+  // limit k, `kept` is a max-heap of at most k entries under `nearer`, and
+  // `worst` holds its front's latency once it is full: a station farther
+  // than that is rejected by one comparison. The walk ends once the
+  // latency floor of every later station is past `worst` or the budget,
+  // so each station it skips would have been rejected.
   const int k = params.max_candidate_stations;
   std::vector<CandidateStation> kept;
   if (k > 0) {
     kept.reserve(static_cast<std::size_t>(std::min(k, topo.num_stations())));
   }
   double worst = std::numeric_limits<double>::infinity();
-  mec::for_each_placement_latency(topo, req, [&](int bs, double lat) {
-    if (lat > worst || !(waiting_ms + lat <= req.latency_budget_ms)) return;
+  const auto within_budget = [&](double lat) {
+    return waiting_ms + lat <= req.latency_budget_ms;
+  };
+  mec::for_each_placement_latency(topo, req, [&](int bs, double lat,
+                                                 double floor) {
+    if (floor > worst || !within_budget(floor)) return false;
+    if (lat > worst || !within_budget(lat)) return true;
     const CandidateStation cand{bs, lat};
     if (k <= 0) {
       kept.push_back(cand);
-      return;
+      return true;
     }
     if (static_cast<int>(kept.size()) == k) {
-      if (!nearer(cand, kept.front())) return;  // ties the k-th, higher id
+      if (!nearer(cand, kept.front())) return true;  // ties the k-th, higher id
       std::pop_heap(kept.begin(), kept.end(), nearer);
       kept.pop_back();
     }
     kept.push_back(cand);
     std::push_heap(kept.begin(), kept.end(), nearer);
     if (static_cast<int>(kept.size()) == k) worst = kept.front().latency_ms;
+    return true;
   });
   if (k <= 0) {
     std::sort(kept.begin(), kept.end(), nearer);

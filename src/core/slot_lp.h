@@ -87,8 +87,10 @@ struct CandidateStation {
 /// `waiting_ms + latency <= req.latency_budget_ms`, the first
 /// `params.max_candidate_stations` (all of them when that is <= 0) in
 /// (latency, station) order. The order is strict and total, so the list is
-/// unique; a positive limit is met by a bounded one-pass selection, with no
-/// sort over every station.
+/// unique. The stations are walked nearest-delay first and the walk stops
+/// once no later station can qualify, so a query reads (and settles) only
+/// a short prefix of the home's delay row; a positive limit is met by a
+/// bounded selection, with no sort over every station.
 std::vector<CandidateStation> candidate_stations(const mec::Topology& topo,
                                                  const mec::ARRequest& req,
                                                  const AlgorithmParams& params,

@@ -82,10 +82,12 @@ double min_placement_latency_ms(const Topology& topo, const ARRequest& req,
         "min_placement_latency_ms: up-mask size mismatch");
   }
   double best = std::numeric_limits<double>::infinity();
-  for_each_placement_latency(topo, req, [&](int bs, double lat) {
+  for_each_placement_latency(topo, req, [&](int bs, double lat, double floor) {
+    if (!(floor < best)) return false;  // no later station is lower
     if (up.empty() || up[static_cast<std::size_t>(bs)] != 0) {
       best = std::min(best, lat);
     }
+    return true;
   });
   return best;
 }

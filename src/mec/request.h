@@ -92,19 +92,38 @@ struct ARRequest {
 double placement_latency_ms(const Topology& topo, const ARRequest& req,
                             int bs);
 
-/// Calls visit(bs, latency) for every station in id order, with the
-/// per-request terms of placement_latency_ms hoisted out of the scan: the
-/// home station's delay row and the total processing weight are read once.
-/// The expression is placement_latency_ms's, so it rounds to the same bits.
+/// Walks the stations in (transmission delay, station) order from the
+/// home station, calling visit(bs, latency, floor) for each until visit
+/// returns false. `latency` is placement_latency_ms's expression, so it
+/// rounds to the same bits. `floor` is 2 * delay plus the lowest
+/// processing term of any station: it bounds from below the latency of
+/// this station and of every later one, because rounding is monotone and
+/// delays never decrease along the walk. A caller stops once `floor` rules
+/// out every station it has not seen, and the home's delay row is settled
+/// only as deep as the walk went.
 template <class Visit>
 void for_each_placement_latency(const Topology& topo, const ARRequest& req,
                                 Visit&& visit) {
-  const std::span<const double> delays = topo.delay_row(req.home_station);
+  const int home = req.home_station;
   const double weight = req.total_proc_weight();
+  const double proc_floor =
+      weight * (weight < 0.0 ? topo.max_proc_ms_per_unit()
+                             : topo.min_proc_ms_per_unit());
   const std::vector<BaseStation>& stations = topo.stations();
-  for (std::size_t bs = 0; bs < stations.size(); ++bs) {
-    visit(static_cast<int>(bs),
-          2.0 * delays[bs] + weight * stations[bs].proc_ms_per_unit);
+  std::span<const int> order = topo.settled_order(home, 1);
+  for (std::size_t i = 0; i < stations.size(); ++i) {
+    if (i == order.size()) {
+      order = topo.settled_order(home, static_cast<int>(i) + 1);
+    }
+    const int bs = order[i];
+    const double trans = 2.0 * topo.settled_delay_ms(home, bs);
+    if (!visit(bs,
+               trans + weight *
+                           stations[static_cast<std::size_t>(bs)]
+                               .proc_ms_per_unit,
+               trans + proc_floor)) {
+      return;
+    }
   }
 }
 

@@ -5,12 +5,28 @@
 // (uniform node placement, edge probability beta * exp(-d / (alpha * L)),
 // plus patch edges to guarantee connectivity). Each base station carries a
 // computing capacity in MHz and a per-unit processing speed; each link a
-// per-unit transmission delay. All-pairs shortest transmission delays are
-// precomputed with Dijkstra.
+// per-unit transmission delay.
+//
+// Shortest transmission delays are settled on demand. Each source station
+// owns a resumable Dijkstra row that settles stations in (delay, station)
+// order and only as deep as some query has reached: a K-nearest candidate
+// scan reads a short delay-ordered prefix, a random-access delay settles
+// until its station is reached, and a whole-row query settles the row.
+// A settled entry is final and bit-identical to a full sweep; rows and
+// shortest-path parents stay dense |BS| x |BS| arrays (DESIGN.md
+// "Shortest-path rows").
+//
+// Thread safety: every const member may be called from several threads at
+// once. A row's published prefix is read without a lock; extending a row
+// takes that row's mutex, and the new prefix length is published with a
+// release store that readers load with acquire.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -46,12 +62,16 @@ struct Link {
 
 class TopologyOverlay;
 
-/// Immutable network: stations, links, and all-pairs shortest-path
-/// transmission delays (ms per rho_unit). Only a TopologyOverlay mutates
+/// Immutable network: stations, links, and shortest-path transmission
+/// delays (ms per rho_unit), settled lazily. Only a TopologyOverlay mutates
 /// one, in place, through the private mutators below.
 class Topology {
  public:
   Topology(std::vector<BaseStation> stations, std::vector<Link> links);
+  /// Copies the stations, links, and every row as far as it is settled.
+  Topology(const Topology& other);
+  Topology(Topology&&) noexcept = default;
+  Topology& operator=(Topology&&) noexcept = default;
 
   int num_stations() const noexcept {
     return static_cast<int>(stations_.size());
@@ -67,18 +87,36 @@ class Topology {
   double transmission_delay_ms(int from, int to) const;
 
   /// All shortest transmission delays out of `from`: entry `to` equals
-  /// transmission_delay_ms(from, to). Per-station scans read this one row
-  /// instead of bounds-checking every pair.
+  /// transmission_delay_ms(from, to). Settles the whole row.
   std::span<const double> delay_row(int from) const;
 
+  /// The nearest `count` or more stations of `from` in (delay, station)
+  /// order, the order of stations_by_distance, settling the row only that
+  /// deep (every station when count >= num_stations()). The prefix of an
+  /// earlier call is a prefix of a later one.
+  std::span<const int> settled_order(int from, int count) const;
+
+  /// Transmission delay from `from` to a station of settled_order(from, ..).
+  /// Unchecked: `to` must already be settled.
+  double settled_delay_ms(int from, int to) const noexcept {
+    return dist_[static_cast<std::size_t>(from) * n_ +
+                 static_cast<std::size_t>(to)];
+  }
+
+  /// Lowest and highest proc_ms_per_unit over the stations: a placement
+  /// scan bounds the processing term of every station it has not visited.
+  double min_proc_ms_per_unit() const noexcept { return min_proc_; }
+  double max_proc_ms_per_unit() const noexcept { return max_proc_; }
+
   /// True when every station can reach every other.
-  bool connected() const noexcept;
+  bool connected() const;
 
   /// Total computing capacity of the network, MHz.
   double total_capacity_mhz() const noexcept;
 
-  /// Stations ordered by transmission delay from `from` (nearest first,
-  /// starting with `from` itself).
+  /// Stations ordered by transmission delay from `from`, nearest first
+  /// (`from` itself leads unless zero-delay links tie it), ties by station
+  /// id, unreachable stations last. Settles the whole row.
   std::vector<int> stations_by_distance(int from) const;
 
   /// Link indices along the delay-shortest path from `from` to `to`
@@ -88,27 +126,85 @@ class Topology {
  private:
   friend class TopologyOverlay;
 
-  void compute_shortest_paths();
-  /// One Dijkstra sweep: recomputes row `src` of dist_ and parent_link_.
-  void sweep_row(std::size_t src);
+  /// A directed adjacency entry (16 bytes).
+  struct Edge {
+    double delay;
+    int to;
+    int link;
+  };
+  /// Per-row Dijkstra state. Only `published` is read without `mu`.
+  struct RowState {
+    std::mutex mu;
+    /// Length of the final prefix of the row's order.
+    std::atomic<int> published{0};
+    /// Stations on the frontier heap.
+    int heap_size = 0;
+    bool started = false;
+  };
+
+  /// Row marks (mark_): a frontier heap position is >= 0; a settled
+  /// station of rank r carries settled_mark(r) = -2 - r.
+  static constexpr int kUnreached = -1;
+  static constexpr int settled_mark(int rank) noexcept { return -2 - rank; }
+  static constexpr bool is_settled(int mark) noexcept { return mark <= -2; }
+  static constexpr int rank_of(int mark) noexcept { return -2 - mark; }
+  static int load_mark(int* mark) noexcept {
+    return std::atomic_ref<int>(*mark).load(std::memory_order_relaxed);
+  }
+  static void store_mark(int* mark, int value) noexcept {
+    std::atomic_ref<int>(*mark).store(value, std::memory_order_relaxed);
+  }
+
+  std::span<const Edge> edges_of(int station) const noexcept {
+    return {edges_.data() + edge_begin_[static_cast<std::size_t>(station)],
+            edges_.data() + edge_begin_[static_cast<std::size_t>(station) + 1]};
+  }
+  std::span<Edge> edges_of(int station) noexcept {
+    return {edges_.data() + edge_begin_[static_cast<std::size_t>(station)],
+            edges_.data() + edge_begin_[static_cast<std::size_t>(station) + 1]};
+  }
+
+  /// Allocates the row arrays; rows stay unstarted.
+  void allocate_rows();
+  /// Settles the next distance group of row `src`, or every unreachable
+  /// station once the frontier is empty, and publishes it. Needs the row's
+  /// mutex and an unfinished row; returns the new published length.
+  int settle_group(std::size_t src) const;
+  /// True when `to` is in the published prefix of row `src` (lock-free).
+  bool published(std::size_t src, std::size_t to) const noexcept;
+  /// Settles row `src` until `to` is published.
+  void settle_station(std::size_t src, std::size_t to) const;
+  /// Settles every row; returns *this. The overlay repairs full rows.
+  const Topology& settled() const;
 
   /// Overlay mutators: rewrite a station's capacity, or a link's delay in
   /// links_ and both adjacency entries. Neither touches the delay rows;
   /// the overlay repairs those itself.
   void set_capacity(int station, double capacity_mhz);
   void set_link_delay(int link, double delay_ms);
+  /// Forgets row `src` and settles it again from scratch.
+  void sweep_row(std::size_t src);
 
   std::vector<BaseStation> stations_;
   std::vector<Link> links_;
-  /// adjacency_[u] = (neighbour, delay, link index).
-  struct Edge {
-    int to;
-    double delay;
-    int link;
-  };
-  std::vector<std::vector<Edge>> adjacency_;
-  std::vector<double> dist_;      // row-major |BS| x |BS|
-  std::vector<int> parent_link_;  // row-major: link used to reach column
+  /// Adjacency in CSR form: the edges of station u are
+  /// edges_[edge_begin_[u] .. edge_begin_[u + 1]), in link order.
+  std::vector<int> edge_begin_;
+  std::vector<Edge> edges_;
+  double min_proc_ = 0.0;
+  double max_proc_ = 0.0;
+
+  /// Rows: row-major |BS| x |BS|, each row initialised on first use.
+  std::size_t n_ = 0;
+  std::unique_ptr<double[]> dist_;      // shortest delay
+  std::unique_ptr<int[]> parent_link_;  // link used to reach the column
+  /// Stations in settle order; the frontier heap lives backwards in the
+  /// row's unsettled tail (order[n-1-i] is heap entry i).
+  std::unique_ptr<int[]> order_;
+  /// Per column, read through std::atomic_ref: kUnreached, a frontier heap
+  /// position (>= 0), or a settled rank r encoded as -2 - r.
+  std::unique_ptr<int[]> mark_;
+  std::unique_ptr<RowState[]> rows_;
 };
 
 /// Parameters of the Waxman/GT-ITM-style generator with the paper's

@@ -21,6 +21,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Node states of one row repair.
 constexpr char kTouched = 1;      // old distance saved in Repair::old_dist
 constexpr char kInvalidated = 2;  // below an increased tree link
+constexpr char kMoved = 4;        // touched, and its distance changed
 
 /// True when (d(a), a, link_a) precedes (d(b), b, link_b): the order in
 /// which a fresh Dijkstra sweep offers tight edges to a node.
@@ -45,6 +46,7 @@ struct TopologyOverlay::Repair {
   std::vector<int> touched;
   std::vector<int> invalidated;
   std::vector<std::pair<double, int>> heap;  // min-heap on (distance, node)
+  std::vector<int> moved;  // touched nodes whose distance changed
 };
 
 bool TopologyPerturbation::identity() const noexcept {
@@ -58,7 +60,7 @@ bool TopologyPerturbation::identity() const noexcept {
 
 TopologyOverlay::TopologyOverlay(const Topology& base)
     : base_(base),
-      effective_(base),
+      effective_(base.settled()),
       ordered_rows_(static_cast<std::size_t>(base.num_stations()), 1) {
   const std::vector<int> flat = flat_links();
   if (flat.empty()) return;
@@ -153,7 +155,7 @@ void TopologyOverlay::repair_row(std::size_t src, Repair& r) {
   const auto n = ordered_rows_.size();
   double* dist = &effective_.dist_[src * n];
   int* parent = &effective_.parent_link_[src * n];
-  const auto& adjacency = effective_.adjacency_;
+  const Topology& topo = effective_;
   const std::vector<Link>& links = effective_.links_;
   const auto touch = [&](int v) {
     if ((r.state[v] & kTouched) != 0) return;
@@ -184,7 +186,7 @@ void TopologyOverlay::repair_row(std::size_t src, Repair& r) {
   }
   for (std::size_t i = 0; i < r.invalidated.size(); ++i) {
     const auto u = static_cast<std::size_t>(r.invalidated[i]);
-    for (const Topology::Edge& e : adjacency[u]) {
+    for (const Topology::Edge& e : topo.edges_of(static_cast<int>(u))) {
       if (parent[e.to] == e.link) invalidate(e.to);
     }
   }
@@ -196,7 +198,7 @@ void TopologyOverlay::repair_row(std::size_t src, Repair& r) {
   }
   for (const int v : r.invalidated) {
     double best = kInf;
-    for (const Topology::Edge& e : adjacency[static_cast<std::size_t>(v)]) {
+    for (const Topology::Edge& e : topo.edges_of(v)) {
       if ((r.state[e.to] & kInvalidated) != 0) continue;
       const double nd = dist[e.to] + e.delay;
       if (nd < best) best = nd;
@@ -216,7 +218,7 @@ void TopologyOverlay::repair_row(std::size_t src, Repair& r) {
     const auto [d, u] = r.heap.back();
     r.heap.pop_back();
     if (d > dist[u]) continue;
-    for (const Topology::Edge& e : adjacency[static_cast<std::size_t>(u)]) {
+    for (const Topology::Edge& e : topo.edges_of(u)) {
       relax(e.to, d + e.delay);
     }
   }
@@ -230,7 +232,7 @@ void TopologyOverlay::repair_row(std::size_t src, Repair& r) {
     parent[v] = -1;
     if (static_cast<std::size_t>(v) == src || dist[v] == kInf) return;
     int best_u = -1;
-    for (const Topology::Edge& e : adjacency[static_cast<std::size_t>(v)]) {
+    for (const Topology::Edge& e : topo.edges_of(v)) {
       if (dist[e.to] + e.delay != dist[v]) continue;
       if (best_u < 0 || precedes(dist[e.to], e.to, e.link, dist[best_u],
                                  best_u, parent[v])) {
@@ -251,7 +253,7 @@ void TopologyOverlay::repair_row(std::size_t src, Repair& r) {
   for (const int v : r.touched) derive(v);
   for (const int u : r.touched) {
     if (dist[u] == r.old_dist[u]) continue;
-    for (const Topology::Edge& e : adjacency[static_cast<std::size_t>(u)]) {
+    for (const Topology::Edge& e : topo.edges_of(u)) {
       if ((r.state[e.to] & kTouched) != 0) continue;
       if (parent[e.to] == e.link) {
         derive(e.to);
@@ -260,7 +262,11 @@ void TopologyOverlay::repair_row(std::size_t src, Repair& r) {
       }
     }
   }
+  // A lengthened link offers nothing new to a node it did not touch: the
+  // nodes it was the parent of were invalidated, and an endpoint that moved
+  // offered all its edges just above.
   for (const Repair::Change& c : r.changes) {
+    if (!c.decreased) continue;
     const Link& l = links[static_cast<std::size_t>(c.link)];
     for (const auto& [u, v] : {std::pair{l.a, l.b}, std::pair{l.b, l.a}}) {
       if ((r.state[v] & kTouched) != 0) continue;
@@ -272,9 +278,98 @@ void TopologyOverlay::repair_row(std::size_t src, Repair& r) {
     }
   }
 
+  // 5. The row's settle order, sorted by the old distances: merge the
+  //    moved nodes back in. Only the window spanning their old ranks and
+  //    new insertion points changes; what lies before it sorts below, and
+  //    what lies after it above, every new key.
+  r.moved.clear();
+  for (const int v : r.touched) {
+    if (dist[v] == r.old_dist[v]) continue;
+    r.state[v] |= kMoved;
+    r.moved.push_back(v);
+  }
+  if (!r.moved.empty()) reorder(src, r);
+
   for (const int v : r.touched) r.state[v] = 0;
   r.touched.clear();
   r.invalidated.clear();
+}
+
+void TopologyOverlay::reorder(std::size_t src, Repair& r) {
+  const auto n = ordered_rows_.size();
+  const double* dist = &effective_.dist_[src * n];
+  int* order = &effective_.order_[src * n];
+  int* mark = &effective_.mark_[src * n];
+  const auto before = [](double da, int a, double db, int b) {
+    return da < db || (da == db && a < b);
+  };
+  // True when u sorts below key (d, v) in the order as it stands.
+  const auto below = [&](int u, double d, int v) {
+    const double du = (r.state[u] & kTouched) != 0 ? r.old_dist[u] : dist[u];
+    return before(du, u, d, v);
+  };
+  std::size_t lo = n;
+  std::size_t hi = 0;
+  for (const int v : r.moved) {
+    // The new position, galloping from the old rank toward it.
+    const auto rank = static_cast<std::size_t>(
+        Topology::rank_of(Topology::load_mark(&mark[v])));
+    const double d = dist[v];
+    const auto pred = [&](int u) { return below(u, d, v); };
+    std::size_t first = 0;
+    std::size_t last = rank;
+    if (d > r.old_dist[v]) {
+      std::size_t step = 1;
+      first = rank + 1;
+      while (first + step <= n && pred(order[first + step - 1])) {
+        first += step;
+        step *= 2;
+      }
+      last = std::min(first + step, n);
+    } else {
+      std::size_t step = 1;
+      while (last >= step && !pred(order[last - step])) {
+        last -= step;
+        step *= 2;
+      }
+      first = last >= step ? last - step + 1 : 0;
+    }
+    const auto insert = static_cast<std::size_t>(
+        std::partition_point(order + first, order + last, pred) - order);
+    lo = std::min({lo, rank, insert});
+    hi = std::max({hi, rank + 1, insert});
+  }
+  // The moved nodes in new order (a handful: insertion sort).
+  for (std::size_t i = 1; i < r.moved.size(); ++i) {
+    const int v = r.moved[i];
+    std::size_t k = i;
+    for (; k > 0 && before(dist[v], v, dist[r.moved[k - 1]], r.moved[k - 1]);
+         --k) {
+      r.moved[k] = r.moved[k - 1];
+    }
+    r.moved[k] = v;
+  }
+  // Compact the window's unmoved nodes to its front, merge from the back,
+  // then restamp the window's ranks.
+  std::size_t kept = lo;
+  for (std::size_t i = lo; i < hi; ++i) {
+    if ((r.state[order[i]] & kMoved) == 0) order[kept++] = order[i];
+  }
+  std::size_t write = hi;
+  for (std::size_t j = r.moved.size(); j > 0;) {
+    const int v = r.moved[j - 1];
+    if (kept > lo &&
+        before(dist[v], v, dist[order[kept - 1]], order[kept - 1])) {
+      order[--write] = order[--kept];
+    } else {
+      order[--write] = v;
+      --j;
+    }
+  }
+  for (std::size_t i = lo; i < hi; ++i) {
+    Topology::store_mark(&mark[order[i]],
+                         Topology::settled_mark(static_cast<int>(i)));
+  }
 }
 
 std::vector<int> TopologyOverlay::flat_links() const {

@@ -1,14 +1,16 @@
 // Fault-epoch view over an immutable Topology.
 //
-// `Topology` precomputes all-pairs shortest transmission delays at
-// construction — exactly right for the fault-free case and exactly wrong
-// once backhaul links fail mid-horizon. TopologyOverlay bridges the two: it
-// owns a mutable *effective* copy of a base topology and updates it only
-// when the applied perturbation set actually changes — a fault-epoch
-// boundary. The update is a repair, not a rebuild: capacities and link
-// delays are rewritten in place, and each shortest-path row recomputes
-// only the tree nodes a changed link reaches (dynamic SSSP in the style of
-// Ramalingam–Reps; DESIGN.md "Fault epochs"). Distances and path parents
+// `Topology` settles shortest transmission delays against the link delays
+// it was built with — exactly right for the fault-free case and exactly
+// wrong once backhaul links fail mid-horizon. TopologyOverlay bridges the
+// two: it owns a mutable *effective* copy of a base topology, fully
+// settled (the shared base settles once), and updates it only when the
+// applied perturbation set actually changes — a fault-epoch boundary. The
+// update is a repair, not a rebuild: capacities and link delays are
+// rewritten in place, and each shortest-path row recomputes only the tree
+// nodes a changed link reaches (dynamic SSSP in the style of
+// Ramalingam–Reps; DESIGN.md "Fault epochs"), then merges the nodes whose
+// distance moved back into the row's settle order. Distances and path parents
 // come out bit-identical to a freshly constructed Topology. The effective
 // topology is a stable reference: callers bind `const Topology&` once and
 // observe every epoch through it, so all consumers of the
@@ -86,6 +88,9 @@ class TopologyOverlay {
   void update();
   /// Repairs row `src` after the link changes in `repair`.
   void repair_row(std::size_t src, Repair& repair);
+  /// Restores row `src`'s (distance, station) settle order after
+  /// repair_row moved the distances of `repair.moved`.
+  void reorder(std::size_t src, Repair& repair);
   /// True when row `src` settles in (distance, station) order: no edge
   /// (u, v) of a reached u has d(u) + w == d(u). Only such rows can be
   /// repaired; the others are re-swept.

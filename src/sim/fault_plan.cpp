@@ -182,6 +182,26 @@ FaultSnapshot FaultPlan::snapshot(const mec::Topology& topo, int slot) const {
   return snap;
 }
 
+std::vector<int> FaultPlan::boundaries() const {
+  std::vector<int> slots;
+  slots.reserve(2 * num_events());
+  const auto add = [&](const auto& events) {
+    for (const auto& e : events) {
+      slots.push_back(e.from_slot);
+      slots.push_back(e.until_slot);
+    }
+  };
+  add(station_outages);
+  add(brownouts);
+  add(link_outages);
+  add(link_degradations);
+  add(solver_budgets);
+  add(solver_jams);
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  return slots;
+}
+
 FaultPlan generate_chaos(const mec::Topology& topo, const ChaosParams& params,
                          int horizon_slots, util::Rng& rng) {
   if (horizon_slots <= 0) {

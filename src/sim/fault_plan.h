@@ -161,6 +161,11 @@ struct FaultPlan {
 
   /// The availability map + perturbation active at `slot`.
   FaultSnapshot snapshot(const mec::Topology& topo, int slot) const;
+
+  /// The slots at which some event starts or ends, sorted and distinct.
+  /// snapshot() is constant between two of them (and healthy before the
+  /// first), so the engines project the plan only at these slots.
+  std::vector<int> boundaries() const;
 };
 
 /// Knobs of the correlated-burst chaos generator. `intensity` is the one

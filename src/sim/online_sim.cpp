@@ -123,7 +123,14 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
   if (chaos) overlay.emplace(topo_);
   // The network every placement decision sees this slot: the base topology
   // when healthy, the overlay's effective topology under faults.
-  const mec::Topology* active = &topo_;
+  const mec::Topology* active = chaos ? &overlay->effective() : &topo_;
+  // The plan is projected only where it can change (FaultPlan::boundaries);
+  // `next_boundary` indexes the first boundary not yet reached.
+  const std::vector<int> boundaries =
+      chaos ? plan.boundaries() : std::vector<int>{};
+  std::size_t next_boundary = 0;
+  int slot_lp_budget = 0;
+  bool slot_lp_fault = false;
 
   std::vector<RequestState> states(requests.size());
   OnlineMetrics metrics;
@@ -219,12 +226,22 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
                           : 0;
     }
     if (chaos && start_slot > 0) {
-      // Prime the overlay with the perturbation active at the last
-      // completed slot: the loop's slot-start apply() then sees the same
-      // epoch transition (or none) as the uninterrupted run.
-      overlay->apply(plan.snapshot(topo_, start_slot - 1).perturbation);
+      // Seek the boundary list and prime the overlay and the solver fault
+      // with the projection in force at the last completed slot (that of
+      // the last boundary before the resumed slot; healthy when there is
+      // none): the loop's slot-start projection then sees the same epoch
+      // transition (or none) as the uninterrupted run.
+      next_boundary = static_cast<std::size_t>(
+          std::lower_bound(boundaries.begin(), boundaries.end(), start_slot) -
+          boundaries.begin());
+      if (next_boundary > 0) {
+        const FaultSnapshot snap =
+            plan.snapshot(topo_, boundaries[next_boundary - 1]);
+        overlay->apply(snap.perturbation);
+        slot_lp_budget = snap.solver_max_pivots;
+        slot_lp_fault = snap.solver_jam;
+      }
       overlay->set_epochs(resume->overlay_epochs);
-      active = &overlay->effective();
       for (std::size_t j = 0; j < requests.size(); ++j) {
         eff_min[j] = eff_min_of(requests[j]);
       }
@@ -287,15 +304,17 @@ OnlineMetrics OnlineSimulator::run(OnlinePolicy& policy, SlotHook* hook,
     // overlay epoch when the fault set changed, and displace resident
     // streams whose station died or whose user the backhaul cut off
     // (progress kept, placement lost).
-    int slot_lp_budget = 0;
-    bool slot_lp_fault = false;
     if (chaos) {
-      FaultSnapshot snap = plan.snapshot(topo_, t);
-      up = std::move(snap.station_up);
-      slot_lp_budget = snap.solver_max_pivots;
-      slot_lp_fault = snap.solver_jam;
-      const bool rebuilt = overlay->apply(snap.perturbation);
-      active = &overlay->effective();
+      bool rebuilt = false;
+      if (next_boundary < boundaries.size() &&
+          boundaries[next_boundary] == t) {
+        ++next_boundary;
+        FaultSnapshot snap = plan.snapshot(topo_, t);
+        up = std::move(snap.station_up);
+        slot_lp_budget = snap.solver_max_pivots;
+        slot_lp_fault = snap.solver_jam;
+        rebuilt = overlay->apply(snap.perturbation);
+      }
       if (rebuilt || up != prev_up) {
         // New fault epoch: live-station reachability changed, so the
         // faulted minimum latencies must be re-derived.

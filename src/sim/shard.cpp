@@ -172,7 +172,14 @@ OnlineMetrics ShardEngine::run(OnlinePolicy& policy, SlotHook* hook,
   if (chaos) plan.validate(topo_);
   std::optional<mec::TopologyOverlay> overlay;
   if (chaos) overlay.emplace(topo_);
-  const mec::Topology* active = &topo_;
+  const mec::Topology* active = chaos ? &overlay->effective() : &topo_;
+  // The plan is projected only where it can change (FaultPlan::boundaries);
+  // `next_boundary` indexes the first boundary not yet reached.
+  const std::vector<int> boundaries =
+      chaos ? plan.boundaries() : std::vector<int>{};
+  std::size_t next_boundary = 0;
+  int slot_lp_budget = 0;
+  bool slot_lp_fault = false;
 
   std::vector<RequestState> states(num_requests);
   OnlineMetrics metrics;
@@ -308,13 +315,23 @@ OnlineMetrics ShardEngine::run(OnlinePolicy& policy, SlotHook* hook,
     // eff_min stays lazy: all stamps are -1, so first use inside the
     // resumed run recomputes against the then-active epoch.
     if (chaos && start_slot > 0) {
-      // Prime the overlay with the pre-resume slot's perturbation so the
-      // resumed slot's apply() sees the same epoch boundary (or absence of
-      // one) the uninterrupted run saw, then stamp the recorded epoch
-      // count so fault_epochs reporting matches bit-for-bit.
-      overlay->apply(plan.snapshot(topo_, start_slot - 1).perturbation);
+      // Seek the boundary list and prime the overlay and the solver fault
+      // with the projection in force before the resumed slot (that of the
+      // last boundary before it; healthy when there is none), so the
+      // resumed slot sees the same epoch boundary (or absence of one) the
+      // uninterrupted run saw. Then stamp the recorded epoch count so
+      // fault_epochs reporting matches bit-for-bit.
+      next_boundary = static_cast<std::size_t>(
+          std::lower_bound(boundaries.begin(), boundaries.end(), start_slot) -
+          boundaries.begin());
+      if (next_boundary > 0) {
+        const FaultSnapshot snap =
+            plan.snapshot(topo_, boundaries[next_boundary - 1]);
+        overlay->apply(snap.perturbation);
+        slot_lp_budget = snap.solver_max_pivots;
+        slot_lp_fault = snap.solver_jam;
+      }
       overlay->set_epochs(resume->overlay_epochs);
-      active = &overlay->effective();
     }
     util::SnapshotReader pr =
         util::SnapshotReader::unframed(resume->policy_state);
@@ -400,15 +417,17 @@ OnlineMetrics ShardEngine::run(OnlinePolicy& policy, SlotHook* hook,
     }
 
     // 0. Fault bookkeeping (serial) + displacement of dead placements.
-    int slot_lp_budget = 0;
-    bool slot_lp_fault = false;
     if (chaos) {
-      FaultSnapshot snap = plan.snapshot(topo_, t);
-      up = std::move(snap.station_up);
-      slot_lp_budget = snap.solver_max_pivots;
-      slot_lp_fault = snap.solver_jam;
-      const bool rebuilt = overlay->apply(snap.perturbation);
-      active = &overlay->effective();
+      bool rebuilt = false;
+      if (next_boundary < boundaries.size() &&
+          boundaries[next_boundary] == t) {
+        ++next_boundary;
+        FaultSnapshot snap = plan.snapshot(topo_, t);
+        up = std::move(snap.station_up);
+        slot_lp_budget = snap.solver_max_pivots;
+        slot_lp_fault = snap.solver_jam;
+        rebuilt = overlay->apply(snap.perturbation);
+      }
       if (rebuilt || up != prev_up) {
         // New fault epoch: invalidate every eff_min by bumping the epoch
         // stamp (values recompute lazily on first use).

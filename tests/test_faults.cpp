@@ -4,6 +4,7 @@
 // their cause, and chaos generation is seed-deterministic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -488,6 +489,40 @@ TEST(ChaosGenerator, SeedDeterminesPlanExactly) {
   EXPECT_EQ(a, render(12345));
   EXPECT_GT(a.size(), std::string("# mecar fault scenario\n").size())
       << "intensity 2.0 over 400 slots sampled no events";
+}
+
+// The engines project a plan only at its boundaries, so the projection
+// must not change anywhere else, and must be healthy before the first.
+TEST(FaultPlan, SnapshotChangesOnlyAtBoundaries) {
+  util::Rng rng(21);
+  mec::TopologyParams tparams;
+  tparams.num_stations = 12;
+  const mec::Topology topo = mec::generate_topology(tparams, rng);
+  ChaosParams chaos;
+  chaos.intensity = 2.0;
+  chaos.p_solver_fault = 0.5;
+  const FaultPlan plan = generate_chaos(topo, chaos, 400, rng);
+  const std::vector<int> boundaries = plan.boundaries();
+  ASSERT_FALSE(boundaries.empty());
+  EXPECT_TRUE(std::is_sorted(boundaries.begin(), boundaries.end()));
+  EXPECT_EQ(std::adjacent_find(boundaries.begin(), boundaries.end()),
+            boundaries.end());
+  const auto same = [](const FaultSnapshot& a, const FaultSnapshot& b) {
+    return a.station_up == b.station_up && a.perturbation == b.perturbation &&
+           a.solver_max_pivots == b.solver_max_pivots &&
+           a.solver_jam == b.solver_jam && a.any_fault == b.any_fault;
+  };
+  const FaultSnapshot healthy = FaultPlan{}.snapshot(topo, 0);
+  for (int t = 0; t <= 400; ++t) {
+    const bool boundary =
+        std::binary_search(boundaries.begin(), boundaries.end(), t);
+    if (t < boundaries.front()) {
+      EXPECT_TRUE(same(plan.snapshot(topo, t), healthy)) << "slot " << t;
+    } else if (t > 0 && !boundary) {
+      EXPECT_TRUE(same(plan.snapshot(topo, t), plan.snapshot(topo, t - 1)))
+          << "slot " << t;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/slot_lp.h"
+#include "mec/request.h"
+#include "mec/topology.h"
 #include "sim/dynamic_rr.h"
 #include "sim/online_sim.h"
 #include "util/parallel.h"
@@ -133,6 +138,76 @@ TEST(GoldenSweep, Fig4MiniParallelMatchesSerialBitForBit) {
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(parallel[i], serial[i]) << "seed " << seeds[i];
+  }
+}
+
+// Lazily settled shortest-path rows are reached from parallel regions (the
+// sharded engine's detect pass, eff_min inside admission). Workers querying
+// one partly settled Topology at once — delays, candidates, min latency, on
+// a few shared homes so they race to extend the same rows — must read
+// exactly what a serial run on a fresh copy reads. Run under tsan, this
+// also checks that published prefixes are read without a data race.
+TEST(LazyRows, ConcurrentQueriesMatchSerial) {
+  mec::TopologyParams params;
+  params.num_stations = 150;
+  util::Rng rng(7);
+  const mec::Topology shared = mec::generate_topology(params, rng);
+  const mec::Topology serial_topo(shared);  // copied before any settling
+  for (int home = 0; home < 6; ++home) shared.settled_order(home, 3 * home);
+
+  struct Query {
+    int kind;
+    mec::ARRequest req;
+    int to;
+    double waiting;
+    std::vector<char> up;
+  };
+  std::vector<Query> queries;
+  for (int i = 0; i < 3000; ++i) {
+    Query q;
+    q.kind = static_cast<int>(rng.uniform_int(0, 2));
+    q.req.home_station = static_cast<int>(rng.uniform_int(0, 11));
+    q.req.tasks.resize(static_cast<std::size_t>(rng.uniform_int(1, 3)));
+    for (mec::TaskSpec& task : q.req.tasks) {
+      task.proc_weight = rng.uniform(0.5, 2.0);
+    }
+    q.req.latency_budget_ms = rng.uniform(20.0, 120.0);
+    q.to = static_cast<int>(rng.uniform_int(0, params.num_stations - 1));
+    q.waiting = rng.uniform(0.0, 10.0);
+    if (rng.bernoulli(0.5)) {
+      q.up.resize(static_cast<std::size_t>(params.num_stations));
+      for (char& u : q.up) u = rng.bernoulli(0.8) ? 1 : 0;
+    }
+    queries.push_back(std::move(q));
+  }
+  const auto answer = [&](const mec::Topology& topo, const Query& q) {
+    std::vector<std::uint64_t> out;
+    const auto push = [&](double v) {
+      out.push_back(std::bit_cast<std::uint64_t>(v));
+    };
+    switch (q.kind) {
+      case 0:
+        push(topo.transmission_delay_ms(q.req.home_station, q.to));
+        break;
+      case 1:
+        for (const core::CandidateStation& c : core::candidate_stations(
+                 topo, q.req, core::AlgorithmParams{}, q.waiting)) {
+          out.push_back(static_cast<std::uint64_t>(c.station));
+          push(c.latency_ms);
+        }
+        break;
+      default:
+        push(mec::min_placement_latency_ms(topo, q.req, q.up));
+        break;
+    }
+    return out;
+  };
+
+  ThreadPool pool(4);
+  const auto parallel = pool.parallel_map(
+      queries.size(), [&](std::size_t i) { return answer(shared, queries[i]); });
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ(parallel[i], answer(serial_topo, queries[i])) << "query " << i;
   }
 }
 

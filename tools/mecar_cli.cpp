@@ -36,6 +36,7 @@
 #include "exp/runner.h"
 #include "exp/scenario.h"
 #include "exp/telemetry.h"
+#include "fuzz_rows.h"
 #include "obs/catalog.h"
 #include "obs/telemetry.h"
 #include "baselines/heu_kkt.h"
@@ -800,8 +801,8 @@ mec::Topology fuzz_overlay_fresh(const mec::Topology& base,
 }
 
 /// Empty when `got` equals `want` bit for bit — capacities, link delays,
-/// every transmission delay and every shortest path — else the first
-/// difference.
+/// every transmission delay, every row's settle order and every shortest
+/// path — else the first difference.
 std::string fuzz_overlay_diff(const mec::Topology& got,
                               const mec::Topology& want) {
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
@@ -817,6 +818,9 @@ std::string fuzz_overlay_diff(const mec::Topology& got,
     }
   }
   for (int from = 0; from < n; ++from) {
+    if (got.stations_by_distance(from) != want.stations_by_distance(from)) {
+      return "stations_by_distance(" + std::to_string(from) + ")";
+    }
     for (int to = 0; to < n; ++to) {
       const double d = want.transmission_delay_ms(from, to);
       const std::string pair = std::to_string(from) + "->" + std::to_string(to);
@@ -1051,7 +1055,7 @@ void usage() {
   std::cout <<
       "usage: mecar_cli "
       "<offline|online|resilience|experiment|metrics|list|topology|trace"
-      "|lp|fuzz-lp|fuzz-ckpt|fuzz-overlay> [flags]\n"
+      "|lp|fuzz-lp|fuzz-ckpt|fuzz-overlay|fuzz-rows> [flags]\n"
       "  common flags: --seed=N --requests=N --stations=N\n"
       "  online:       --horizon=N\n"
       "  resilience:   --horizon=N --plan=FILE | --chaos=INTENSITY "
@@ -1073,7 +1077,9 @@ void usage() {
       "  fuzz-lp:      [--seeds=N] | --seed=K  differential LP fuzzer\n"
       "  fuzz-ckpt:    [--seeds=N] | --seed=K  snapshot framing fuzzer\n"
       "  fuzz-overlay: [--seeds=N] | --seed=K  fault-epoch repair vs fresh "
-      "topology\n";
+      "topology\n"
+      "  fuzz-rows:    [--seeds=N] | --seed=K  lazily settled rows vs an "
+      "eager sweep\n";
 }
 
 }  // namespace
@@ -1098,6 +1104,7 @@ int main(int argc, char** argv) {
     if (command == "fuzz-lp") return cmd_fuzz_lp(cli);
     if (command == "fuzz-ckpt") return cmd_fuzz_ckpt(cli);
     if (command == "fuzz-overlay") return cmd_fuzz_overlay(cli);
+    if (command == "fuzz-rows") return tools::cmd_fuzz_rows(cli);
   } catch (const std::exception& error) {
     std::cerr << "mecar_cli: " << error.what() << '\n';
     return 1;
